@@ -47,6 +47,7 @@ def main():
     show("The fix chase from the validated region Z = (zip, phn, type)")
     out = chase(t1, ("zip", "phn", "type"), ex.rules, ex.master)
     print(f"unique fix: {out.unique}")
+    print("rule applications (one witness master tuple per distinct value):")
     for rule, tm, batch in out.fired:
         print(f"  batch {batch}: {rule.name} sets "
               f"{rule.rhs} := {tm[rule.rhs_m]!r}")

@@ -63,7 +63,8 @@ class ChaseOutcome:
     ``zb`` — the initial (user-validated) Z;
     ``conflict`` — the divergence witness when ``unique`` is False;
     ``fired`` — the (rule, master_row, batch) applications of the canonical
-    batched run, in order.
+    batched run, in order: one witness master row per distinct value a
+    rule derived (its first matching row), not every matching row.
     """
 
     unique: bool
@@ -91,7 +92,9 @@ class ChaseOutcome:
 
     def explain(self) -> str:
         """Human-readable provenance: which rule and master tuple set each
-        attribute, in application order."""
+        attribute, in application order (one witness tuple per distinct
+        value; further master rows carrying the same value are not
+        listed)."""
         lines = [f"validated by the user: {sorted(self.zb)}"]
         for rule, tm, batch in self.fired:
             key = dict(zip(rule.lhs, tm[rule.lhs_m]))
@@ -196,7 +199,9 @@ def chase(
     rules, master:
         The rule set Σ and the master data ``Dm`` — a
         :class:`~repro.engine.store.MasterStore` or a plain relation
-        (adapted on entry); every master access is a keyed ``probe``.
+        (adapted on entry); every master access is a rule's value image
+        (:meth:`~repro.engine.store.MasterStore.image`), so the chase
+        sees each distinct correction value once.
     """
     master = as_master_store(master)
     rules = list(rules)
@@ -236,12 +241,10 @@ def chase(
             if any(v is UNKNOWN for v in key):
                 exhausted[i] = True
                 continue
-            matches = master.probe_ref(rule.lhs_m, key)
             exhausted[i] = True
-            for tm in matches:
-                if not rule.master_guard.matches(tm):
-                    continue
-                value = tm[rule.rhs_m]
+            for value, tm in master.image(
+                rule.lhs_m, key, rule.rhs_m, rule.master_guard
+            ):
                 if rule.rhs in new_values and new_values[rule.rhs] != value:
                     return ChaseOutcome(
                         unique=False,
@@ -284,10 +287,9 @@ def chase(
         key = tuple(assignment[a] for a in rule.lhs)
         if any(v is UNKNOWN for v in key):
             continue
-        for tm in master.probe_ref(rule.lhs_m, key):
-            if not rule.master_guard.matches(tm):
-                continue
-            value = tm[rule.rhs_m]
+        for value, _tm in master.image(
+            rule.lhs_m, key, rule.rhs_m, rule.master_guard
+        ):
             if value == assignment[rule.rhs]:
                 edges.append((rule.premise_attrs, rule.rhs))
             elif rule.rhs not in zb:

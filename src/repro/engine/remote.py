@@ -873,6 +873,13 @@ class RemoteStore(MasterStore):
                 self.poll_version()
         return self._version
 
+    def _image_version(self) -> int:
+        # No poll: an image is as fresh as the probe LRU beneath it, which
+        # also moves only when a response or an engine's version read
+        # observes a bump.  Polling here would cost a round-trip per
+        # image call under poll_interval=0.
+        return self._version
+
     def poll_version(self) -> int:
         """Force one ``GET /version`` round-trip; returns the fresh stamp."""
         self._request("GET", "/version")

@@ -210,12 +210,98 @@ class _DeltaJournal:
         return tuple(r for r in self._records if r.version > start)
 
 
+def distinct_image(rows, column: str, guard) -> tuple:
+    """``(value, first witness)`` per distinct guard-passing ``tm[column]``
+    of *rows*, in row order — the value image of any row sequence."""
+    if guard is not None and not len(guard):
+        guard = None
+    witnesses: dict = {}
+    for tm in rows:
+        if guard is not None and not guard.matches(tm):
+            continue
+        value = tm[column]
+        if value not in witnesses:
+            witnesses[value] = tm
+    return tuple(witnesses.items())
+
+
+class _ImageCache:
+    """The version-stamped tables behind :meth:`MasterStore.image`.
+
+    ``tables`` maps ``(attrs, column, guard)`` to ``{key: pairs}``.
+    Reads are lock-free; :meth:`sync` and :meth:`put` run under the lock,
+    and ``put`` lands only while the stamp still equals the version its
+    image was computed at.  A stamp may trail the store (a reader that
+    saw an older version re-stamps backwards); that only leaves more
+    deltas pending for the next sync, never a stale key unpurged.  The
+    counters are plain ints, like ``probe_ref_calls``: under the thread
+    fan-out an increment may be lost, never a cached answer corrupted.
+    """
+
+    __slots__ = ("version", "tables", "_positions", "_lock",
+                 "hits", "misses", "purged", "full_drops")
+
+    def __init__(self, version: int):
+        self.version = version
+        self.tables: dict = {}
+        self._positions: dict = {}  # attrs -> value positions in a row
+        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self.purged = 0
+        self.full_drops = 0
+
+    def sync(self, store: "MasterStore", version: int) -> None:
+        """Purge what the deltas since the stamp touch; drop all on a gap."""
+        with self._lock:
+            if self.version == version:
+                return
+            deltas = store.deltas_since(self.version) if self.tables else ()
+            if deltas is None:
+                self.tables.clear()
+                self.full_drops += 1
+            else:
+                for delta in deltas:
+                    self._purge(store.schema, delta.values)
+            self.version = version
+
+    def _purge(self, schema: RelationSchema, values: tuple) -> None:
+        # A row projects onto exactly one key per table.
+        for (attrs, _column, _guard), table in self.tables.items():
+            positions = self._positions.get(attrs)
+            if positions is None:
+                positions = self._positions[attrs] = [
+                    schema.index_of(a) for a in attrs
+                ]
+            if table.pop(tuple(values[p] for p in positions), None) is not None:
+                self.purged += 1
+
+    def put(self, version: int, table_key: tuple, key: tuple,
+            pairs: tuple) -> None:
+        with self._lock:
+            if self.version == version:
+                self.tables.setdefault(table_key, {})[key] = pairs
+
+    def info(self) -> dict:
+        with self._lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "purged": self.purged,
+                "full_drops": self.full_drops,
+                "tables": len(self.tables),
+                "keys": sum(len(table) for table in self.tables.values()),
+            }
+
+
 class MasterStore(ABC):
     """Abstract master-data backend.
 
     The read API mirrors how the repair layer touches ``Dm``: keyed probes
-    (:meth:`probe`, :meth:`contains_key`), full iteration (region search and
-    witness sweeps), size, and per-column active values.  The write API
+    (:meth:`probe`, :meth:`contains_key`), a rule's compiled value image
+    (:meth:`image`, the only way the chase, TransFix and Suggest learn
+    correction values), full iteration (region search and witness
+    sweeps), size, and per-column active values.  The write API
     (:meth:`insert` / :meth:`delete` / :meth:`update`) bumps
     :attr:`version`.  A few ``Relation``-compatible aliases (``lookup``,
     ``scan_lookup``, ``rows``) keep older call sites and external code
@@ -315,6 +401,66 @@ class MasterStore(ABC):
         attrs = tuple(attrs)
         key = tuple(key)
         return tuple(tm for tm in self if tm[attrs] == key)
+
+    # -- compiled rule images ------------------------------------------------
+
+    def image(self, attrs: Iterable, key, column: str, guard=None) -> tuple:
+        """A rule's value image at one key: the distinct correction values.
+
+        Returns ``(value, witness)`` pairs: the distinct ``tm[column]``
+        values among the rows with ``tm[attrs] == key`` that pass *guard*
+        (a rule's master guard; ``None`` passes every row), in probe
+        order, each value with its first matching row as witness.  For a
+        rule φ this is ``V_φ(t[X])`` — everything the chase, TransFix and
+        Suggest need from the master: φ applies iff the image is
+        non-empty, and its matches conflict iff it holds two values.
+
+        One implementation over :meth:`probe_ref` serves every backend.
+        Images are cached per ``(attrs, column, guard)`` table and filled
+        lazily, one ``probe_ref`` per key; a key is cached only when its
+        probe returned rows, so no table holds more keys than the master
+        has rows.  The cache is stamped with :attr:`version`: when the
+        version moves, each :meth:`deltas_since` record purges the one
+        key it projects onto per table, and a ``None`` answer drops every
+        table.  Writes are stamp-checked under a lock, so an image
+        computed against an older version never lands after a purge.
+        """
+        attrs = tuple(attrs)
+        key = tuple(key)
+        version = self._image_version()
+        cache = self.__dict__.get("_images")
+        if cache is None:
+            cache = self.__dict__.setdefault("_images", _ImageCache(version))
+        elif cache.version != version:
+            cache.sync(self, version)
+        table_key = (attrs, column, guard)
+        table = cache.tables.get(table_key)
+        if table is not None:
+            pairs = table.get(key)
+            if pairs is not None:
+                cache.hits += 1
+                return pairs
+        cache.misses += 1
+        rows = self.probe_ref(attrs, key)
+        pairs = distinct_image(rows, column, guard)
+        if rows:
+            cache.put(version, table_key, key, pairs)
+        return pairs
+
+    def _image_version(self) -> int:
+        """The stamp :meth:`image` checks its cache against.  Backends
+        whose :attr:`version` read may cost a round-trip return their last
+        observed version instead."""
+        return self.version
+
+    def image_cache_info(self) -> dict:
+        """Accounting of the :meth:`image` cache, kept apart from
+        ``probe_cache_info`` so the probe LRU's counters keep their
+        meaning: ``hits``/``misses`` per call, ``purged`` keys dropped by
+        journal deltas, ``full_drops`` of a non-empty cache on a journal
+        gap, and the current ``tables``/``keys``."""
+        cache = self.__dict__.get("_images")
+        return (cache if cache is not None else _ImageCache(0)).info()
 
     # -- process-boundary protocol -------------------------------------------
 

@@ -140,6 +140,11 @@ class BatchReport:
     #: across runs) and ``probe_warmup_s`` (chunk probe_many warm-up on
     #: batched-probe backends, summed across workers).
     timings: dict = field(default_factory=dict)
+    #: The store's rule-image cache over the run
+    #: (:meth:`~repro.engine.store.MasterStore.image`): ``hits``,
+    #: ``misses``, ``purged`` keys and ``full_drops``, summed across
+    #: process workers.
+    image_cache: dict = field(default_factory=dict)
     #: ``{rule_name: fixed-cell count}`` across the run (provenance rollup;
     #: empty when provenance collection is off).
     fixes_by_rule: dict = field(default_factory=dict)
@@ -205,6 +210,10 @@ class BatchReport:
                 "misses": self.suggestion_misses,
                 "hit_rate": round(self.suggestion_hit_rate, 4),
             },
+            "image_cache": dict(self.image_cache, hit_rate=round(_rate(
+                self.image_cache.get("hits", 0),
+                self.image_cache.get("misses", 0),
+            ), 4)),
             "cache_invalidations": self.cache_invalidations,
             "delta_purges": self.delta_purges,
             "full_drops": self.full_drops,
@@ -234,6 +243,15 @@ class BatchReport:
                 f"suggestion cache: {self.suggestion_hit_rate:.0%} hit "
                 f"({self.suggestion_hits}/"
                 f"{self.suggestion_hits + self.suggestion_misses})"
+            )
+        hits = self.image_cache.get("hits", 0)
+        misses = self.image_cache.get("misses", 0)
+        if hits or misses:
+            lines.append(
+                f"image cache: {_rate(hits, misses):.0%} hit "
+                f"({hits}/{hits + misses})  "
+                f"{self.image_cache.get('purged', 0)} key purge(s), "
+                f"{self.image_cache.get('full_drops', 0)} full drop(s)"
             )
         if self.timings:
             lines.append(
@@ -276,6 +294,18 @@ class BatchReport:
 def _rate(hits: int, misses: int) -> float:
     total = hits + misses
     return hits / total if total else 0.0
+
+
+_IMAGE_COUNTERS = ("hits", "misses", "purged", "full_drops")
+
+
+def _image_counters(store) -> dict:
+    info = store.image_cache_info()
+    return {name: info[name] for name in _IMAGE_COUNTERS}
+
+
+def _counter_delta(after: dict, before: dict) -> dict:
+    return {name: after[name] - before[name] for name in _IMAGE_COUNTERS}
 
 
 @dataclass
@@ -615,6 +645,7 @@ def _process_worker_chunk(task: tuple) -> dict:
         warm_s = _warm_chunk_probes(engine, pairs)
     chase0 = engine.chase_stats.snapshot()
     transfix0 = engine.transfix_stats.snapshot()
+    image0 = _image_counters(store)
     suggestion = engine.cache_stats
     sugg_hits0 = suggestion.hits if suggestion is not None else 0
     sugg_misses0 = suggestion.misses if suggestion is not None else 0
@@ -638,6 +669,7 @@ def _process_worker_chunk(task: tuple) -> dict:
             (suggestion.hits - sugg_hits0) if suggestion is not None else 0,
             (suggestion.misses - sugg_misses0) if suggestion is not None else 0,
         ),
+        "image": _counter_delta(_image_counters(store), image0),
         "invalidations": engine.cache_invalidations - invalidations0,
         "delta_purges": engine.delta_purges - delta_purges0,
         "full_drops": engine.full_drops - full_drops0,
@@ -927,7 +959,7 @@ class BatchRepairEngine:
         totals = {
             "chase": [0, 0], "transfix": [0, 0], "suggestions": [0, 0],
             "invalidations": 0, "delta_purges": 0, "full_drops": 0,
-            "warm_s": 0.0,
+            "warm_s": 0.0, "image": dict.fromkeys(_IMAGE_COUNTERS, 0),
         }
 
         def hit_rates() -> dict:
@@ -963,6 +995,8 @@ class BatchRepairEngine:
             totals["delta_purges"] += result["delta_purges"]
             totals["full_drops"] += result["full_drops"]
             totals["warm_s"] += result["warm_s"]
+            for name, value in result["image"].items():
+                totals["image"][name] += value
             stats = worker_stats.setdefault(result["worker"], {
                 "chunks": 0, "tuples": 0,
                 "chase_hits": 0, "chase_misses": 0,
@@ -1032,6 +1066,7 @@ class BatchRepairEngine:
             cache_invalidations=totals["invalidations"],
             delta_purges=totals["delta_purges"],
             full_drops=totals["full_drops"],
+            image_cache=totals["image"],
             master_version=self._safe_store_version(),
             timings={
                 "region_precompute_s": self._region_precompute_s,
@@ -1054,6 +1089,7 @@ class BatchRepairEngine:
         invalidations_before = engine.cache_invalidations
         delta_purges_before = engine.delta_purges
         full_drops_before = engine.full_drops
+        image_before = _image_counters(engine.store)
         bdd_before = engine.cache_stats
         bdd_hits0 = bdd_before.hits if bdd_before is not None else 0
         bdd_misses0 = bdd_before.misses if bdd_before is not None else 0
@@ -1160,6 +1196,9 @@ class BatchRepairEngine:
             ),
             delta_purges=engine.delta_purges - delta_purges_before,
             full_drops=engine.full_drops - full_drops_before,
+            image_cache=_counter_delta(
+                _image_counters(engine.store), image_before
+            ),
             master_version=self._safe_store_version(),
             timings={
                 "region_precompute_s": self._region_precompute_s,

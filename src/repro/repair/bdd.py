@@ -24,7 +24,7 @@ from repro.analysis.closure import attribute_closure
 from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
 from repro.engine.tuples import Row
-from repro.repair.suggest import Suggestion, applicable_rules, suggest
+from repro.repair.suggest import Suggestion, suggest, surviving_rules
 
 
 @dataclass
@@ -104,9 +104,13 @@ class SuggestionCache:
         s = set(suggestion.attrs)
         if not s or s & z:
             return False
-        applicable = applicable_rules(
-            self.rules, self.master, row, z, self._pattern_cache
-        )
+        # Unrefined survivors suffice: the closure reads only rhs and
+        # premise_attrs, which the φ⁺ refinement leaves unchanged.
+        applicable = [
+            rule for rule, _ in surviving_rules(
+                self.rules, self.master, row, z, self._pattern_cache
+            )
+        ]
         fixable = {rule.rhs for rule in applicable}
         uncoverable = set(self.schema.attributes) - z - fixable
         if not uncoverable <= s:

@@ -9,12 +9,13 @@ consumer-side machinery that turns those deltas into per-key purges:
 * :class:`RecordingStore` — a pass-through :class:`MasterStore` wrapper
   that records the *read footprint* of a computation: every keyed probe
   ``(attrs, key)`` it forwarded.  The chase and TransFix read master data
-  exclusively through keyed probes, so a recorded footprint is the
-  complete master dependency set of a memo entry or a pattern check's
-  chase work.  ``push_sink``/``pop_sink`` additionally scope footprints
-  to one sub-computation (one ``check_pattern`` call of a region build),
-  which is what lets the region guard re-verify exactly the checks a
-  mutated row touched instead of rejecting wholesale.
+  exclusively through keyed reads (value images over probes), so a
+  recorded footprint is the complete master dependency set of a memo
+  entry or a pattern check's chase work.  ``push_sink``/``pop_sink``
+  additionally scope footprints to one sub-computation (one
+  ``check_pattern`` call of a region build), which is what lets the
+  region guard re-verify exactly the checks a mutated row touched
+  instead of rejecting wholesale.
 * :class:`FootprintIndex` — a reverse index from probe footprints to the
   memo entries that performed them.  ``affected(rows)`` answers "which
   entries could a mutated row invalidate?" in time proportional to the
@@ -65,8 +66,8 @@ class RecordingStore(MasterStore):
 
     ``footprints`` accumulates ``(attrs, key)`` for every keyed read
     (``probe`` / ``probe_ref`` / ``probe_many`` / ``contains_key`` /
-    ``scan_probe``); ``swept`` notes whether any full sweep (iteration,
-    ``len``, ``active_values``) happened.  Sweeps are *not* footprints:
+    ``scan_probe`` / ``image``); ``swept`` notes whether any full sweep
+    (iteration, ``len``, ``active_values``) happened.  Sweeps are *not* footprints:
     consumers whose sweep-derived state is guarded by other means (the
     region guard's active-value snapshot, the pattern-cache patcher)
     deliberately ignore them.
@@ -124,6 +125,14 @@ class RecordingStore(MasterStore):
 
     def contains_key(self, attrs: Iterable, key) -> bool:
         return bool(self.probe_ref(attrs, key))
+
+    def image(self, attrs: Iterable, key, column: str, guard=None) -> tuple:
+        # Record, then read the wrapped store's image cache (a wrapper
+        # lives for one recompute; a cache of its own would never hit).
+        attrs = tuple(attrs)
+        key = tuple(key)
+        self._record(attrs, key)
+        return self._store.image(attrs, key, column, guard)
 
     # -- read API (sweeps) ---------------------------------------------------
 

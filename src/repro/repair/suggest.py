@@ -66,21 +66,19 @@ def _pattern_holds_on_master(rule, master: MasterStore) -> bool:
     return False
 
 
-def applicable_rules(
+def surviving_rules(
     rules: Sequence,
     master,
     row: Row,
     z: frozenset,
     pattern_cache: dict = None,
 ) -> list:
-    """The refined applicable rules ``Σt[Z]`` (Sect. 5.2).
+    """``(φ, validated key attributes)`` for each rule passing conditions
+    (a)–(c) of ``Σt[Z]``, before the φ⁺ refinement.
 
-    For each rule φ, keep it iff (a) its target is outside ``Z``, (b) its
-    pattern holds on the validated attributes, and (c) some master tuple
-    matches both the validated key part and the pattern part (a keyed
-    :meth:`~repro.engine.store.MasterStore.probe`); the survivor ``φ⁺``
-    absorbs the validated key attributes into its pattern with the concrete
-    values of ``t``.
+    Enough for value-free reasoning: :func:`attribute_closure` reads only
+    ``rhs`` and ``premise_attrs``, and the refinement adds only ``lhs``
+    attributes to the pattern, so it leaves ``premise_attrs`` unchanged.
     """
     master = as_master_store(master)
     out = []
@@ -95,10 +93,17 @@ def applicable_rules(
         if any(row[a] is UNKNOWN for a in z_pattern_attrs):
             continue
         key_attrs = tuple(a for a in rule.lhs if a in z)
-        if key_attrs:  # (c), keyed probe
-            key = tuple(row[a] for a in key_attrs)
-            if any(v is UNKNOWN for v in key):
+        key = tuple(row[a] for a in key_attrs)
+        if any(v is UNKNOWN for v in key):
+            continue
+        if key_attrs and len(key_attrs) == len(rule.lhs):  # (c), whole key
+            # No lhs pattern attribute is left unvalidated, so (c) is
+            # exactly "the rule's value image at t[X] is non-empty".
+            if not master.image(
+                rule.lhs_m, key, rule.rhs_m, rule.master_guard
+            ):
                 continue
+        elif key_attrs:  # (c), keyed probe on a partial key
             columns = rule.master_attrs_of(key_attrs)
             matches = master.probe_ref(columns, key)
             pattern_checks = [
@@ -125,12 +130,35 @@ def applicable_rules(
                     pattern_cache[rule.name] = holds
             if not holds:
                 continue
-        # Refinement (i)-(ii): extend the pattern with the validated key.
-        refined = rule.pattern.extend(
-            {a: Const(row[a]) for a in key_attrs}
-        )
-        out.append(rule.with_pattern(refined))
+        out.append((rule, key_attrs))
     return out
+
+
+def applicable_rules(
+    rules: Sequence,
+    master,
+    row: Row,
+    z: frozenset,
+    pattern_cache: dict = None,
+) -> list:
+    """The refined applicable rules ``Σt[Z]`` (Sect. 5.2).
+
+    For each rule φ, keep it iff (a) its target is outside ``Z``, (b) its
+    pattern holds on the validated attributes, and (c) some master tuple
+    matches both the validated key part and the pattern part (the rule's
+    value image when the whole key is validated, a keyed
+    :meth:`~repro.engine.store.MasterStore.probe` otherwise); the survivor
+    ``φ⁺`` absorbs the validated key attributes into its pattern with the
+    concrete values of ``t``.
+    """
+    return [
+        rule.with_pattern(
+            rule.pattern.extend({a: Const(row[a]) for a in key_attrs})
+        )
+        for rule, key_attrs in surviving_rules(
+            rules, master, row, z, pattern_cache
+        )
+    ]
 
 
 def _grow_suggestion(schema, z: frozenset, applicable: list) -> tuple:

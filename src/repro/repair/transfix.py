@@ -6,9 +6,10 @@ walks the rule dependency graph: rules whose premise (``X ∪ Xp``) is already
 validated sit in ``vset`` ("usable"); firing a rule upgrades its dependent
 rules from ``uset`` to ``vset`` when their premises fill in.  Each rule is
 consumed at most once, giving the paper's ``O(|Σ|²)`` bound.  Master access
-goes through :meth:`repro.engine.store.MasterStore.probe` — the Sect. 5.1
-hash table keyed on ``tm[Xm]`` that makes each master check constant time —
-so any backend (in-memory or out-of-core) serves the lookups.
+goes through :meth:`repro.engine.store.MasterStore.image` — the rule's
+distinct correction values under the Sect. 5.1 hash table keyed on
+``tm[Xm]``, which makes each master check constant time — so any backend
+(in-memory or out-of-core) serves the lookups.
 
 A naive fixpoint loop (re-scan all rules until nothing fires) is provided as
 :func:`transfix_naive` for ablation A1.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Set
 
 from repro.analysis.dependency_graph import DependencyGraph
-from repro.engine.store import MasterStore, as_master_store
+from repro.engine.store import MasterStore, as_master_store, distinct_image
 from repro.engine.tuples import Row
 from repro.engine.values import UNKNOWN
 
@@ -61,27 +62,26 @@ class TransFixResult:
 
 
 def _resolve(rule, row: Row, master: MasterStore, use_index: bool):
-    """Master value for ``rhs(rule)``, or None; raises on disagreement."""
+    """Witness master tuple for ``rhs(rule)``, or None; raises on
+    disagreement, which is exactly a value image of more than one value."""
     key = row[rule.lhs]
     if any(v is UNKNOWN for v in key):
         return None
     if use_index:
-        matches = master.probe_ref(rule.lhs_m, key)
+        image = master.image(rule.lhs_m, key, rule.rhs_m, rule.master_guard)
     else:
-        matches = master.scan_probe(rule.lhs_m, key)
-    if len(rule.master_guard):
-        matches = [tm for tm in matches if rule.master_guard.matches(tm)]
-    if not matches:
+        image = distinct_image(
+            master.scan_probe(rule.lhs_m, key), rule.rhs_m, rule.master_guard
+        )
+    if not image:
         return None
-    value = matches[0][rule.rhs_m]
-    for tm in matches[1:]:
-        if tm[rule.rhs_m] != value:
-            raise MasterConflict(
-                f"rule {rule.name}: master tuples with key {key} carry "
-                f"distinct values {value!r} / {tm[rule.rhs_m]!r} for "
-                f"{rule.rhs_m!r}"
-            )
-    return matches[0]
+    if len(image) > 1:
+        raise MasterConflict(
+            f"rule {rule.name}: master tuples with key {key} carry "
+            f"distinct values {image[0][0]!r} / {image[1][0]!r} for "
+            f"{rule.rhs_m!r}"
+        )
+    return image[0][1]
 
 
 def transfix(

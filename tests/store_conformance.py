@@ -20,6 +20,10 @@ This module captures that contract once, as a suite any backend inherits:
   and ``None`` whenever completeness cannot be proven (future stamps,
   stamps fallen out of the journal window) — the contract the
   delta-aware cache invalidation of the repair layer rests on;
+* rule images — ``image`` is the distinct guard-passing projection of
+  ``probe`` with first witnesses, follows every mutation under a cached
+  key, drops its cache on a journal gap, and never caches a key with no
+  master rows;
 * process protocol — ``detach()``/``reattach()`` round-trips rows and the
   version stamp, and a parent mutation reaches the clone through the
   backend's resync hook (snapshot or incremental via ``adopt_deltas``).
@@ -38,6 +42,7 @@ contract tests for free::
 
 import pytest
 
+from repro.core.patterns import NotConst, PatternTuple
 from repro.engine.schema import INT, RelationSchema
 from repro.engine.store import (
     DEFAULT_DELTA_WINDOW,
@@ -103,6 +108,12 @@ class StoreConformance:
         close = getattr(clone, "close", None)
         if close is not None:
             close()
+
+    def bypass_journal(self, store: MasterStore, row: Row) -> bool:
+        """Insert *row* through a path the delta journal does not witness
+        (a version bump it cannot vouch for); return False (the default)
+        when the backend has no such path and the test skips."""
+        return False
 
     def lie_probe_many(self, store: MasterStore, skew: int):
         """A context manager making the backend's lower layer answer
@@ -424,6 +435,107 @@ class StoreConformance:
             assert clone.probe(("k",), ("late",)) == (late,)
         finally:
             self.cleanup_clone(clone)
+
+    # -- rule images ---------------------------------------------------------
+
+    @staticmethod
+    def _image_by_probe(store, attrs, key, column, guard) -> tuple:
+        """The image contract spelled out over ``probe``."""
+        witnesses: dict = {}
+        for tm in store.probe(attrs, key):
+            if guard is None or guard.matches(tm):
+                witnesses.setdefault(tm[column], tm)
+        return tuple(witnesses.items())
+
+    def test_image_is_distinct_guarded_projection_of_probe(self, store):
+        schema = self.schema()
+        rows = self.rows()
+        repeat = Row(schema, ("a", "x", 5))  # repeats value "x" under "a"
+        store.insert(repeat)
+        cases = [
+            (("k",), ("a",), "v", None),
+            (("k",), ("a",), "n", None),
+            (("k",), ("a",), "v", PatternTuple({"n": NotConst(1)})),
+            (("k",), ("a",), "n", PatternTuple({})),
+            (("k",), ("c",), "v", None),  # a NULL correction value
+            (("k", "v"), ("a", "x"), "n", PatternTuple({"n": NotConst(3)})),
+        ]
+        for attrs, key, column, guard in cases:
+            expected = self._image_by_probe(store, attrs, key, column, guard)
+            before = store.image_cache_info()
+            assert store.image(attrs, key, column, guard) == expected
+            assert store.image(attrs, key, column, guard) == expected
+            after = store.image_cache_info()
+            assert after["misses"] == before["misses"] + 1
+            assert after["hits"] == before["hits"] + 1
+        # first witness per value, in probe order
+        assert store.image(("k",), ("a",), "v") == (("x", rows[0]),)
+        assert store.image(("k",), ("a",), "n") == (
+            (1, rows[0]), (3, rows[2]), (5, repeat)
+        )
+        assert store.image(
+            ("k",), ("a",), "v", PatternTuple({"n": NotConst(1)})
+        ) == (("x", rows[2]),)
+
+    def test_image_follows_mutations_under_a_cached_key(self, store):
+        schema = self.schema()
+        rows = self.rows()
+        attrs, key = ("k",), ("a",)
+        assert store.image(attrs, key, "v") == (("x", rows[0]),)
+        assert store.image(("k",), ("b",), "v") == (("y", rows[1]),)
+        extra = Row(schema, ("a", "x2", 7))
+        store.insert(extra)
+        assert store.image(attrs, key, "v") == (
+            ("x", rows[0]), ("x2", extra)
+        )
+        assert store.delete(rows[0])
+        assert store.image(attrs, key, "v") == (
+            ("x", rows[2]), ("x2", extra)
+        )
+        new = Row(schema, ("a", "x3", 7))
+        assert store.update(extra, new)
+        assert store.image(attrs, key, "v") == (("x", rows[2]), ("x3", new))
+        # the purges were per key: "b" is still served from the cache
+        before = store.image_cache_info()
+        assert store.image(("k",), ("b",), "v") == (("y", rows[1]),)
+        after = store.image_cache_info()
+        assert after["hits"] == before["hits"] + 1
+        assert after["purged"] == 3
+        assert after["full_drops"] == 0
+
+    def test_image_cache_dropped_on_window_overflow(self, store):
+        schema = self.schema()
+        rows = self.rows()
+        assert store.image(("k",), ("a",), "v") == (("x", rows[0]),)
+        for i in range(self.delta_window + 1):
+            store.insert(Row(schema, (f"w{i}", "w", i)))
+        before = store.image_cache_info()
+        assert store.image(("k",), ("a",), "v") == (("x", rows[0]),)
+        after = store.image_cache_info()
+        assert after["full_drops"] == before["full_drops"] + 1
+        assert after["misses"] == before["misses"] + 1
+
+    def test_image_cache_dropped_on_unjournaled_mutation(self, store):
+        schema = self.schema()
+        rows = self.rows()
+        assert store.image(("k",), ("a",), "v") == (("x", rows[0]),)
+        late = Row(schema, ("a", "x9", 9))
+        if not self.bypass_journal(store, late):
+            pytest.skip("backend has no mutation path around its journal")
+        assert store.image(("k",), ("a",), "v") == (
+            ("x", rows[0]), ("x9", late)
+        )
+        assert store.image_cache_info()["full_drops"] == 1
+
+    def test_image_never_caches_a_key_without_master_rows(self, store):
+        keys = store.image_cache_info()["keys"]
+        assert store.image(("k",), ("zz",), "v") == ()
+        assert store.image(("k",), ("zz",), "v") == ()
+        assert store.image_cache_info()["keys"] == keys
+        assert store.image_cache_info()["hits"] == 0
+        # rows that all fail the guard still bound the table: cached empty
+        assert store.image(("k",), ("b",), "v", PatternTuple({"n": 9})) == ()
+        assert store.image_cache_info()["keys"] == keys + 1
 
     # -- process protocol ----------------------------------------------------
 

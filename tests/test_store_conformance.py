@@ -50,6 +50,12 @@ class TestInMemoryStoreConformance(StoreConformance):
         # per-chunk snapshot protocol).
         clone.reset_rows(tuple(parent), parent.version)
 
+    def bypass_journal(self, store, row):
+        # A direct mutation of the wrapped relation bumps the version
+        # without a journal record.
+        store.relation.insert(row)
+        return True
+
 
 class TestSqliteStoreConformance(StoreConformance):
     """Out-of-core file-backed sqlite (shares storage across processes)."""
