@@ -47,13 +47,17 @@ Reads are retried once over a fresh connection (a keep-alive the server
 timed out is indistinguishable from a dead server until the second try);
 mutations are retried only when the request provably never reached the
 server (connect/send failures), never after a half-delivered exchange —
-an ``/insert`` replay could double-insert.
+an ``/insert`` replay could double-insert.  A restarted server (a new
+``X-Master-Instance`` token) may hold different rows at any version, so
+the client drops every cache and raises ``StoreUnavailableError`` on that
+and every later call instead of serving what the old instance said.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import secrets
 import socket
 import sys
 import threading
@@ -85,6 +89,16 @@ from repro.obs import MetricsRegistry, render_prometheus, snapshot_to_dict
 #: Every response carries the store version here, so any exchange doubles
 #: as a version poll (the read-through invalidation signal).
 VERSION_HEADER = "X-Master-Version"
+#: Every response also carries the server's random per-process token: a
+#: version stamp is only comparable within one server instance, so a
+#: changed token is how a client learns the server restarted.
+INSTANCE_HEADER = "X-Master-Instance"
+#: How often a :meth:`MasterServer.start` serving thread checks for
+#: shutdown: ``close()`` blocks up to this long, so it stays far below the
+#: stdlib's 0.5s.  The foreground :meth:`MasterServer.serve_forever` keeps
+#: the default: Ctrl-C ends that loop without waiting for a poll, so a
+#: short interval would only add wake-ups to a ``serve-master`` process.
+_SHUTDOWN_POLL_S = 0.05
 
 
 # -- wire codec ----------------------------------------------------------------
@@ -109,6 +123,15 @@ def _wire_key(key: tuple):
         return _encode_values(key)
     except TypeError:
         return None
+
+
+def _restart_message(url: str, old: str, new: str) -> str:
+    return (
+        f"master server at {url} restarted (instance {old} is now {new}); "
+        f"its version stamps and rows are not comparable with what this "
+        f"client cached, so every cache was dropped and the client refuses "
+        f"further use: rerun against the restarted server with a new client"
+    )
 
 
 def _decode_row(schema: RelationSchema, cells: list) -> Row:
@@ -163,6 +186,7 @@ class _MasterHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, handler, store: MasterStore):
         super().__init__(address, handler)
         self.store = store
+        self.instance = secrets.token_hex(8)
         # The server's own always-on registry (never the process-global
         # one): ``GET /metrics`` must work without any client-side
         # ``obs.enable()``, and the per-request cost is noise next to the
@@ -254,6 +278,7 @@ class _MasterRequestHandler(BaseHTTPRequestHandler):
         if version is None:
             version = self.server.store.version
         self.send_header(VERSION_HEADER, str(version))
+        self.send_header(INSTANCE_HEADER, self.server.instance)
         self.end_headers()
         self.wfile.write(body)
 
@@ -521,8 +546,9 @@ class MasterServer:
         """Serve on a daemon thread; returns self for chaining."""
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._http.serve_forever, name="repro-master-server",
-                daemon=True,
+                target=self._http.serve_forever,
+                kwargs={"poll_interval": _SHUTDOWN_POLL_S},
+                name="repro-master-server", daemon=True,
             )
             self._thread.start()
         return self
@@ -571,7 +597,9 @@ class RemoteStore(MasterStore):
     header is compared against the stamp and a newer value drops the
     probe / active-value / length caches before anything is returned — a
     server-side mutation invalidates this client exactly like a local
-    mutation invalidates the in-process backends.  ``probe_many`` ships
+    mutation invalidates the in-process backends.  A response from a
+    restarted server (a new ``X-Master-Instance`` token) drops every cache
+    and makes this client raise from then on.  ``probe_many`` ships
     cache misses in one request.  The single keep-alive connection is
     serialized behind a lock (the batch engine's thread fan-out probes
     concurrently); workers of a process pool each reattach their own
@@ -627,6 +655,8 @@ class RemoteStore(MasterStore):
         self._timeout = timeout
         self._poll_interval = poll_interval
         self._closed = False
+        self._instance = None  # the server's token, from the first response
+        self._restarted = None  # the error message once a restart is seen
         self._conn = None
         self._last_request = 0.0
         self._conn_lock = threading.RLock()
@@ -720,6 +750,7 @@ class RemoteStore(MasterStore):
                 f"this RemoteStore ({self._url}) has been closed; build a "
                 f"new RemoteStore(url) or reattach() a detached handle"
             )
+        self._check_restart()
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"} if body else {}
         with self._conn_lock:
@@ -752,6 +783,7 @@ class RemoteStore(MasterStore):
                         raise self._unavailable(exc) from exc
             self._requests += 1
             self._last_request = time.monotonic()
+        self._observe_instance(response.getheader(INSTANCE_HEADER))
         version = response.getheader(VERSION_HEADER)
         observed = int(version) if version is not None else self._version
         self._observe_version(observed)
@@ -762,6 +794,45 @@ class RemoteStore(MasterStore):
                 Exception(f"HTTP {response.status} on {path}")
             )
         return json.loads(data.decode("utf-8")), observed
+
+    def _check_restart(self) -> None:
+        if self._restarted is not None:
+            raise StoreUnavailableError(self._restarted)
+
+    def _observe_instance(self, token) -> None:
+        """Record the server's instance token; a changed one is a restart.
+
+        Version stamps of two server instances are not comparable: a
+        restarted server can come back at a lower, equal or higher
+        version with different rows, so no delta list can vouch for the
+        caches.  A restart drops every cache (probe LRU, active values,
+        length, journal mirror and the inherited image cache), and this
+        call and every later one raises.
+        """
+        if token is None or token == self._instance:
+            return
+        with self._cache_lock:
+            if self._instance is None:
+                self._instance = token
+                return
+            if token == self._instance:
+                return
+            if self._restarted is None:
+                self._restarted = _restart_message(
+                    self._url, self._instance, token
+                )
+                self._probe_cache.clear()
+                self._active_cache.clear()
+                self._len_cache = None
+                self._mirror.clear()
+                self.__dict__.pop("_images", None)
+        self._check_restart()
+
+    def _fresh(self, observed: int) -> bool:
+        """Whether a result read at *observed* may enter a cache (call
+        under the cache lock): the stamp still matches and no restart
+        was seen meanwhile."""
+        return self._version == observed and self._restarted is None
 
     def _observe_version(self, version: int) -> None:
         """Adopt a piggybacked server version, surgically when possible.
@@ -868,6 +939,7 @@ class RemoteStore(MasterStore):
 
     @property
     def version(self) -> int:
+        self._check_restart()
         if self._poll_interval is not None and not self._closed:
             if time.monotonic() - self._last_poll >= self._poll_interval:
                 self.poll_version()
@@ -904,6 +976,7 @@ class RemoteStore(MasterStore):
         in-process backends.  Reads the raw stamp — no poll: callers ask
         about versions they already observed.
         """
+        self._check_restart()
         with self._cache_lock:
             current = self._version
             if version > current:
@@ -936,7 +1009,7 @@ class RemoteStore(MasterStore):
         payload, observed = self._request("GET", "/len")
         count = payload["len"]
         with self._cache_lock:
-            if self._version == observed:
+            if self._fresh(observed):
                 self._len_cache = count
         return count
 
@@ -1012,7 +1085,7 @@ class RemoteStore(MasterStore):
         a concurrent observation of a newer version means *result* may be
         stale and must not outlive the invalidation that just happened."""
         with self._cache_lock:
-            if self._version == observed:
+            if self._fresh(observed):
                 self._probe_cache.put(cache_key, result)
 
     def probe_many(self, attrs: Iterable, keys: Iterable) -> dict:
@@ -1085,7 +1158,7 @@ class RemoteStore(MasterStore):
         )
         values = {_decode(v) for v in payload["values"]}
         with self._cache_lock:
-            if self._version == observed:
+            if self._fresh(observed):
                 self._active_cache[attr] = values
         return set(values)
 
@@ -1165,6 +1238,7 @@ class RemoteStore(MasterStore):
                 f"this RemoteStore ({self._url}) has been closed; build a "
                 f"new RemoteStore(url) or reattach() a detached handle"
             )
+        self._check_restart()
         return RemoteStoreHandle(
             url=self._url,
             schema=self._schema,
@@ -1172,6 +1246,7 @@ class RemoteStore(MasterStore):
             timeout=self._timeout,
             poll_interval=self._poll_interval,
             version=self._version,
+            instance=self._instance,
         )
 
     def close(self) -> None:
@@ -1205,6 +1280,7 @@ class RemoteStoreHandle:
     timeout: float
     poll_interval: float
     version: int
+    instance: str
 
     def reattach(self) -> RemoteStore:
         """Open a fresh connection in this process.
@@ -1214,7 +1290,8 @@ class RemoteStoreHandle:
         starts at the *newest* of the handle's stamp and the server's
         current version — the server is the single source of truth, so a
         mutation that happened after detach is adopted immediately rather
-        than discovered one probe late.
+        than discovered one probe late.  A server restarted since detach
+        (a different instance token) raises :class:`StoreUnavailableError`.
         """
         store = RemoteStore(
             self.url,
@@ -1223,5 +1300,10 @@ class RemoteStoreHandle:
             timeout=self.timeout,
             poll_interval=self.poll_interval,
         )
+        if store._instance != self.instance:
+            store.close()
+            raise StoreUnavailableError(
+                _restart_message(self.url, self.instance, store._instance)
+            )
         store.sync_version(self.version)
         return store

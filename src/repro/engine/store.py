@@ -201,13 +201,15 @@ class _DeltaJournal:
             return None
         if start == current:
             return ()
-        if not self._records:
-            return None
-        if self._records[-1].version != current:
+        # One snapshot: iterating the live deque raises if a writer
+        # appends meanwhile (image readers run beside an unlocked
+        # InMemoryStore writer).
+        records = tuple(self._records)
+        if not records or records[-1].version != current:
             return None
         if start < self._floor:
             return None
-        return tuple(r for r in self._records if r.version > start)
+        return tuple(r for r in records if r.version > start)
 
 
 def distinct_image(rows, column: str, guard) -> tuple:
@@ -298,14 +300,14 @@ class MasterStore(ABC):
     """Abstract master-data backend.
 
     The read API mirrors how the repair layer touches ``Dm``: keyed probes
-    (:meth:`probe`, :meth:`contains_key`), a rule's compiled value image
+    (:meth:`probe`), a rule's compiled value image
     (:meth:`image`, the only way the chase, TransFix and Suggest learn
     correction values), full iteration (region search and witness
     sweeps), size, and per-column active values.  The write API
     (:meth:`insert` / :meth:`delete` / :meth:`update`) bumps
-    :attr:`version`.  A few ``Relation``-compatible aliases (``lookup``,
-    ``scan_lookup``, ``rows``) keep older call sites and external code
-    working unchanged when handed a store.
+    :attr:`version`.  Two ``Relation``-compatible aliases (``lookup``,
+    ``rows``) keep older call sites and external code working unchanged
+    when handed a store.
     """
 
     # -- read API ------------------------------------------------------------
@@ -391,10 +393,6 @@ class MasterStore(ABC):
     @abstractmethod
     def active_values(self, attr: str) -> set:
         """The set of values appearing in master column *attr*."""
-
-    def contains_key(self, attrs: Iterable, key) -> bool:
-        """Whether any master tuple matches ``tm[attrs] == key``."""
-        return bool(self.probe_ref(attrs, key))
 
     def scan_probe(self, attrs: Iterable, key) -> tuple:
         """Index-free probe (the ablation A2 baseline)."""
@@ -545,10 +543,6 @@ class MasterStore(ABC):
     def lookup(self, attrs: Iterable, key) -> tuple:
         """Alias of :meth:`probe` (``Relation``-compatible spelling)."""
         return self.probe(attrs, key)
-
-    def scan_lookup(self, attrs: Iterable, key) -> tuple:
-        """Alias of :meth:`scan_probe` (``Relation``-compatible spelling)."""
-        return self.scan_probe(attrs, key)
 
     @property
     def rows(self) -> list:

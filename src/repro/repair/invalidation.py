@@ -65,8 +65,8 @@ class RecordingStore(MasterStore):
     """Pass-through store wrapper that records keyed-probe footprints.
 
     ``footprints`` accumulates ``(attrs, key)`` for every keyed read
-    (``probe`` / ``probe_ref`` / ``probe_many`` / ``contains_key`` /
-    ``scan_probe`` / ``image``); ``swept`` notes whether any full sweep
+    (``probe`` / ``probe_ref`` / ``probe_many`` / ``scan_probe`` /
+    ``image``); ``swept`` notes whether any full sweep
     (iteration, ``len``, ``active_values``) happened.  Sweeps are *not* footprints:
     consumers whose sweep-derived state is guarded by other means (the
     region guard's active-value snapshot, the pattern-cache patcher)
@@ -122,9 +122,6 @@ class RecordingStore(MasterStore):
         key = tuple(key)
         self._record(attrs, key)
         return self._store.scan_probe(attrs, key)
-
-    def contains_key(self, attrs: Iterable, key) -> bool:
-        return bool(self.probe_ref(attrs, key))
 
     def image(self, attrs: Iterable, key, column: str, guard=None) -> tuple:
         # Record, then read the wrapped store's image cache (a wrapper

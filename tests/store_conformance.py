@@ -165,9 +165,6 @@ class StoreConformance:
         # Relation-compatible spellings and the index-free ablation agree
         assert store.lookup(("k",), ("a",)) == store.probe(("k",), ("a",))
         assert store.scan_probe(("k",), ("a",)) == store.probe(("k",), ("a",))
-        assert store.scan_lookup(("n",), (2,)) == (rows[1],)
-        assert store.contains_key(("k",), ("c",))
-        assert not store.contains_key(("k",), ("nope",))
 
     def test_probe_is_exact_typed(self, store):
         """String spellings of numbers must not match int cells (the csv

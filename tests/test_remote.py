@@ -230,6 +230,53 @@ def test_remote_handle_reattach_dead_server_raises_unavailable(served):
         handle.reattach()
 
 
+@pytest.mark.parametrize("reveal", ["poll_version", "probe"])
+@pytest.mark.parametrize("offset", [-2, 0, 1])
+def test_restarted_server_never_serves_cached_rows(schema, rows, offset,
+                                                   reveal):
+    """A server restarted from the original master comes back at a lower,
+    equal or higher version without the rows a client cached; once any
+    request reveals the restart, no read may return those rows."""
+    first = MasterServer(InMemoryStore(Relation(schema, rows))).start()
+    port = first.address[1]
+    client = RemoteStore(first.url)
+    writer = RemoteStore(first.url)
+    ghosts = (Row(schema, ("z", "g1", 7)), Row(schema, ("z", "g2", 8)))
+    for row in ghosts:
+        writer.insert(row)
+    writer.close()
+    assert client.probe(("k",), ("z",)) == ghosts
+    assert [v for v, _ in client.image(("k",), ("z",), "v")] == ["g1", "g2"]
+    assert client.probe_many(("k",), [("z",)]) == {("z",): ghosts}
+    handle = client.detach()
+    first.close()
+
+    backing = InMemoryStore(Relation(schema, rows))
+    for i in range(2 + offset):
+        backing.insert(Row(schema, ("q", f"pad{i}", 10 + i)))
+    assert backing.version == client._version + offset
+    with MasterServer(backing, port=port) as second:
+        with pytest.raises(StoreUnavailableError, match="restarted"):
+            if reveal == "poll_version":
+                client.poll_version()
+            else:
+                client.probe(("k",), ("b",))
+        for read in (
+            lambda: client.probe(("k",), ("z",)),
+            lambda: client.image(("k",), ("z",), "v"),
+            lambda: client.probe_many(("k",), [("z",)]),
+            lambda: client.version,
+        ):
+            with pytest.raises(StoreUnavailableError, match="restarted"):
+                read()
+        with pytest.raises(StoreUnavailableError, match="restarted"):
+            handle.reattach()
+        fresh = RemoteStore(second.url)
+        assert fresh.probe(("k",), ("z",)) == ()
+        fresh.close()
+    client.close()
+
+
 def test_sqlite_handle_reattach_missing_file_raises_unavailable(
     tmp_path, schema, rows
 ):

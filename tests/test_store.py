@@ -88,9 +88,6 @@ def test_probe_and_aliases(store, rows):
     # Relation-compatible spellings and the index-free ablation agree
     assert store.lookup(("k",), ("a",)) == store.probe(("k",), ("a",))
     assert store.scan_probe(("k",), ("a",)) == store.probe(("k",), ("a",))
-    assert store.scan_lookup(("n",), (2,)) == (rows[1],)
-    assert store.contains_key(("k",), ("c",))
-    assert not store.contains_key(("k",), ("nope",))
 
 
 def test_probe_is_exact_typed(store):
