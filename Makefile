@@ -4,10 +4,18 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test conformance smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
+.PHONY: test loc conformance smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Net line counts of the library, its tests and its benchmarks (ROADMAP
+# tracks the src/ figure from PR to PR).
+loc:
+	@for dir in src tests benchmarks; do \
+		printf '%-11s %s\n' "$$dir/" \
+			"$$(find $$dir -name '*.py' | xargs cat | wc -l)"; \
+	done
 
 # Static analysis over the codebase itself: ruff (pyflakes + pycodestyle
 # error families) and mypy (strict-leaning on repro.lint / repro.core).

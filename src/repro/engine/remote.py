@@ -12,25 +12,24 @@ over the :class:`~repro.engine.store.MasterStore` seam, pure stdlib:
   ``/rows``, ``/version`` plus versioned ``/insert`` / ``/delete`` /
   ``/update`` — via ``python -m repro serve-master``;
 * :class:`RemoteStore` implements the full ``MasterStore`` ABC as a
-  read-through client: an LRU probe cache stamped with the server's
-  version, batched ``probe_many`` to amortize round-trips, and
+  read-through client: the store's version-stamped read cache, keyed to
+  the server's version, batched ``probe_many`` to amortize round-trips, and
   ``detach()`` / ``reattach()`` so process-pool workers each open their
   own connection.
 
 **Invalidation** piggybacks on every request: each server response carries
 an ``X-Master-Version`` header, and the moment the client observes a newer
-stamp it reconciles — it fetches ``GET /deltas?since=<stamp>`` (the
-server's delta journal) and purges exactly the probe/active/len cache
-lines the changed rows project onto, falling back to the historical full
-cache drop whenever the journal cannot prove the list complete.  A
-server-side mutation therefore invalidates client caches exactly like a
-local mutation does, and the client re-exports the journal through its
-own ``deltas_since`` mirror so the repair engines' per-key purge path
-works across the network boundary too.  A client that only ever hits
-its own warm cache would never observe anything, so ``poll_interval``
-optionally re-polls ``/version`` on :attr:`RemoteStore.version` reads
-(``0.0`` = every read; ``None`` = piggyback only, the default — right when
-all mutations flow through this client or between-run staleness is
+stamp it fetches ``GET /deltas?since=<stamp>`` (the server's delta
+journal) into its own :class:`~repro.engine.store._DeltaJournal`, the
+class the local backends use, restarting it whenever the server cannot
+prove the list complete.  The client's cache then purges or drops on its
+next read exactly as a local backend's does, and the repair engines read
+the same journal through ``deltas_since``, so the per-key purge path works
+across the network boundary too.  A client that only ever hits its own
+warm cache would never observe anything, so ``poll_interval`` optionally
+re-polls ``/version`` on :attr:`RemoteStore.version` reads (``0.0`` =
+every read; ``None`` = piggyback only, the default — right when all
+mutations flow through this client or between-run staleness is
 acceptable).
 
 **Wire format**: values cross the wire in the sqlite backend's tagged
@@ -49,8 +48,8 @@ mutations are retried only when the request provably never reached the
 server (connect/send failures), never after a half-delivered exchange —
 an ``/insert`` replay could double-insert.  A restarted server (a new
 ``X-Master-Instance`` token) may hold different rows at any version, so
-the client drops every cache and raises ``StoreUnavailableError`` on that
-and every later call instead of serving what the old instance said.
+the client raises ``StoreUnavailableError`` on that and every later call,
+cached reads included, instead of serving what the old instance said.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ import socket
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
 from http import client as http_client
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -72,16 +70,16 @@ from urllib.parse import parse_qs, urlsplit
 from repro import obs
 from repro.engine.schema import Domain, RelationSchema
 from repro.engine.store import (
-    DEFAULT_DELTA_WINDOW,
     MasterStore,
     StoreDelta,
     StoreDetachedError,
     StoreError,
     StoreProtocolError,
     StoreUnavailableError,
+    _bridge,
     _decode,
+    _DeltaJournal,
     _encode,
-    _ProbeLRU,
 )
 from repro.engine.tuples import Row
 from repro.obs import MetricsRegistry, render_prometheus, snapshot_to_dict
@@ -592,15 +590,18 @@ _TRANSPORT_ERRORS = (http_client.HTTPException, OSError)
 class RemoteStore(MasterStore):
     """Read-through :class:`MasterStore` client for a :class:`MasterServer`.
 
-    Probes are served from a bounded LRU keyed on ``(attrs, key)`` and
-    stamped with the server version; every response's ``X-Master-Version``
-    header is compared against the stamp and a newer value drops the
-    probe / active-value / length caches before anything is returned — a
-    server-side mutation invalidates this client exactly like a local
-    mutation invalidates the in-process backends.  A response from a
-    restarted server (a new ``X-Master-Instance`` token) drops every cache
-    and makes this client raise from then on.  ``probe_many`` ships
-    cache misses in one request.  The single keep-alive connection is
+    Reads go through the store's version-stamped cache (probe LRU lines,
+    rule images, active values, the row count), stamped with the last
+    server version this client observed.  Every response's
+    ``X-Master-Version`` header is compared against it: a newer value
+    fetches ``GET /deltas`` into this client's own delta journal (or
+    restarts the journal when the server cannot vouch for the gap), and
+    the cache purges or drops on its next read — a server-side mutation
+    invalidates this client exactly like a local mutation invalidates the
+    in-process backends.  A response from a restarted server (a new
+    ``X-Master-Instance`` token) makes this client raise from then on, so
+    nothing it cached is ever served again.  ``probe_many`` ships cache
+    misses in one request.  The single keep-alive connection is
     serialized behind a lock (the batch engine's thread fan-out probes
     concurrently); workers of a process pool each reattach their own
     connection from a :class:`RemoteStoreHandle`.
@@ -628,6 +629,7 @@ class RemoteStore(MasterStore):
     #: without row snapshots (the sqlite-file model, over HTTP).
     shares_storage_across_processes = True
 
+    _span_label = "remote"
     _ITER_BATCH = 512
     #: Preemptively re-open a connection idle longer than this before the
     #: next request: the server reaps sockets idle past its handler
@@ -643,7 +645,7 @@ class RemoteStore(MasterStore):
         timeout: float = 10.0,
         poll_interval: float = None,
     ):
-        self._probe_cache = _ProbeLRU(probe_cache_size)
+        super().__init__(probe_cache_size)
         parts = urlsplit(url)
         if parts.scheme != "http" or not parts.hostname:
             raise ValueError(
@@ -660,26 +662,19 @@ class RemoteStore(MasterStore):
         self._conn = None
         self._last_request = 0.0
         self._conn_lock = threading.RLock()
-        self._cache_lock = threading.RLock()
+        # Guards the observed version, the journal and the counters.
+        self._state_lock = threading.RLock()
         self._version = -1  # before the first observation
         self._last_poll = 0.0
-        self._active_cache: dict = {}
-        self._len_cache = None
+        self._journal = _DeltaJournal()
+        # Keeps the nested ``/deltas`` fetch from re-triggering itself off
+        # its own response header.
+        self._delta_fetch_active = False
         self._requests = 0
         self._reconnects = 0
         self._invalidations = 0
-        # Delta reconciliation state: a local mirror of the server's
-        # journal (so engines stacked on this client can read
-        # ``deltas_since`` without a round-trip), the contiguous floor it
-        # covers from, and the re-entrancy flag that keeps the nested
-        # ``/deltas`` fetch from re-triggering itself off its own
-        # response header.
-        self._mirror: deque = deque()
-        self._mirror_floor = -1
-        self._delta_fetch_active = False
         self.delta_purges = 0
         self.full_drops = 0
-        self.probe_ref_calls = 0
         if schema is None:
             payload, _ = self._request("GET", "/schema")
             schema = schema_from_payload(payload["schema"])
@@ -805,46 +800,35 @@ class RemoteStore(MasterStore):
         Version stamps of two server instances are not comparable: a
         restarted server can come back at a lower, equal or higher
         version with different rows, so no delta list can vouch for the
-        caches.  A restart drops every cache (probe LRU, active values,
-        length, journal mirror and the inherited image cache), and this
-        call and every later one raises.
+        cache.  A restart restarts the journal, and this call and every
+        later one raises — cached reads included, through
+        :meth:`_cache_version`.
         """
         if token is None or token == self._instance:
             return
-        with self._cache_lock:
+        with self._state_lock:
             if self._instance is None:
                 self._instance = token
                 return
-            if token == self._instance:
-                return
-            if self._restarted is None:
+            if token != self._instance and self._restarted is None:
                 self._restarted = _restart_message(
                     self._url, self._instance, token
                 )
-                self._probe_cache.clear()
-                self._active_cache.clear()
-                self._len_cache = None
-                self._mirror.clear()
-                self.__dict__.pop("_images", None)
+                self._journal.reset(self._version)
         self._check_restart()
 
-    def _fresh(self, observed: int) -> bool:
-        """Whether a result read at *observed* may enter a cache (call
-        under the cache lock): the stamp still matches and no restart
-        was seen meanwhile."""
-        return self._version == observed and self._restarted is None
-
     def _observe_version(self, version: int) -> None:
-        """Adopt a piggybacked server version, surgically when possible.
+        """Adopt a piggybacked server version into the journal.
 
         The first observation adopts silently (nothing is cached yet).
-        Later bumps fetch ``GET /deltas?since=<stamp>`` and purge exactly
-        the cache lines the changed rows project onto; a ``null`` journal
-        answer, a transport failure, or a gapped list falls back to the
-        historical full cache drop.  Either way the client lands on the
-        server's stamp before the triggering caller returns.
+        Later bumps fetch ``GET /deltas?since=<stamp>`` and record the
+        changed rows; a ``null`` journal answer, a transport failure, or
+        a gapped list restarts the journal at the new stamp instead.
+        Either way the client lands on the server's stamp before the
+        triggering caller returns, and the cache purges (or drops) on its
+        next read.
         """
-        with self._cache_lock:
+        with self._state_lock:
             self._last_poll = time.monotonic()
             if version <= self._version:
                 return
@@ -855,7 +839,7 @@ class RemoteStore(MasterStore):
                 return
             if self._version < 0:
                 self._version = version
-                self._mirror_floor = version
+                self._journal.reset(version)
                 return
             since = self._version
             self._delta_fetch_active = True
@@ -863,9 +847,23 @@ class RemoteStore(MasterStore):
         try:
             fetched = self._fetch_deltas(since)
         finally:
-            with self._cache_lock:
+            with self._state_lock:
                 self._delta_fetch_active = False
-                self._reconcile(version, since, fetched)
+                self._invalidations += 1
+                records = None
+                if fetched is not None:
+                    records = _bridge(fetched[0], since, fetched[1])
+                if records is not None:
+                    for delta in records:
+                        self._journal.record(
+                            delta.version, delta.op, delta.values
+                        )
+                    self._version = fetched[1]
+                    self.delta_purges += 1
+                else:
+                    self._version = max(version, since)
+                    self._journal.reset(self._version)
+                    self.full_drops += 1
 
     def _fetch_deltas(self, since: int):
         """``(records, version_at_fetch)`` from the server, or ``None``."""
@@ -881,51 +879,6 @@ class RemoteStore(MasterStore):
             for v, op, cells in wire
         )
         return records, observed
-
-    def _reconcile(self, version: int, since: int, fetched) -> None:
-        """Apply a fetched delta list, or fall back to the full drop.
-
-        Runs under the cache lock with ``_version == since`` (the fetch
-        flag blocks every other adoption path meanwhile).
-        """
-        self._invalidations += 1
-        if fetched is not None:
-            records, observed = fetched
-            # One record per version bump; anything else means a gap.
-            if len(records) == observed - since:
-                for delta in records:
-                    self._apply_delta(delta)
-                self._version = observed
-                self.delta_purges += 1
-                return
-        self.full_drops += 1
-        self._probe_cache.clear()
-        self._active_cache.clear()
-        self._len_cache = None
-        self._version = max(version, since)
-        self._mirror.clear()
-        self._mirror_floor = self._version
-
-    def _apply_delta(self, delta: StoreDelta) -> None:
-        """Patch the read-through caches for one journaled mutation."""
-        self._probe_cache.purge_row(self._schema, delta.values)
-        row = Row(self._schema, delta.values)
-        if delta.op == "insert":
-            for attr, values in self._active_cache.items():
-                values.add(row[attr])
-            if self._len_cache is not None:
-                self._len_cache += 1
-        else:
-            # A deleted value may or may not survive in other rows; drop
-            # just the affected attribute entries (recomputed lazily).
-            for attr in list(self._active_cache):
-                if row[attr] in self._active_cache[attr]:
-                    del self._active_cache[attr]
-            if self._len_cache is not None:
-                self._len_cache -= 1
-        self._mirror.append(delta)
-        while len(self._mirror) > DEFAULT_DELTA_WINDOW:
-            self._mirror_floor = self._mirror.popleft().version
 
     # -- introspection -------------------------------------------------------
 
@@ -945,11 +898,11 @@ class RemoteStore(MasterStore):
                 self.poll_version()
         return self._version
 
-    def _image_version(self) -> int:
-        # No poll: an image is as fresh as the probe LRU beneath it, which
-        # also moves only when a response or an engine's version read
-        # observes a bump.  Polling here would cost a round-trip per
-        # image call under poll_interval=0.
+    def _cache_version(self) -> int:
+        # No poll: a cached read is as fresh as the last response or
+        # engine version read observed.  Polling here would cost a
+        # round-trip per image call under poll_interval=0.
+        self._check_restart()
         return self._version
 
     def poll_version(self) -> int:
@@ -957,61 +910,32 @@ class RemoteStore(MasterStore):
         self._request("GET", "/version")
         return self._version
 
-    def sync_version(self, version: int) -> None:
-        """Adopt the parent's *version* stamp (process-pool resync hook).
+    def catch_up(self, version: int, deltas=None, rows=None) -> None:
+        """Adopt the parent's *version* (the process-pool resync hook).
 
-        Data already lives server-side, so — exactly like the sqlite
-        file-backed path — the worker reconciles only its
-        connection-local caches (per-key via ``/deltas`` when the server
-        journal covers the gap); a no-op when the stamp already matches.
+        The rows live server-side, so — exactly like the sqlite
+        file-backed path — only this client's journal moves, reconciled
+        against the server's own journal, the source of truth; *deltas*
+        and *rows* are not needed.
         """
         self._observe_version(version)
 
     def deltas_since(self, version: int):
-        """Mutations strictly after *version*, from the local mirror.
+        """Mutations strictly after *version*, from this client's journal.
 
         Served without a round-trip: every observed bump lands in the
-        mirror as it is reconciled (full drops clear it), so engines
-        stacked on this client get the same delta contract as the
-        in-process backends.  Reads the raw stamp — no poll: callers ask
-        about versions they already observed.
+        journal as it is reconciled, so engines stacked on this client
+        get the same delta contract as the in-process backends.  Reads
+        the raw stamp — no poll: callers ask about versions they already
+        observed.
         """
         self._check_restart()
-        with self._cache_lock:
-            current = self._version
-            if version > current:
-                return None
-            if version == current:
-                return ()
-            if version < self._mirror_floor:
-                return None
-            records = tuple(
-                d for d in self._mirror if d.version > version
-            )
-            if len(records) != current - version:
-                return None
-            return records
+        with self._state_lock:
+            return self._journal.since(version, self._version)
 
-    def adopt_deltas(self, deltas, version: int) -> bool:
-        """Resync to the parent's *version*; the row data is server-side.
-
-        The shipped list is advisory here — :meth:`sync_version` runs
-        the same fetch-or-drop reconciliation against the server's own
-        journal, which is the source of truth this client mirrors.
-        """
-        self.sync_version(version)
-        return True
-
-    def __len__(self) -> int:
-        with self._cache_lock:
-            if self._len_cache is not None:
-                return self._len_cache
-        payload, observed = self._request("GET", "/len")
-        count = payload["len"]
-        with self._cache_lock:
-            if self._fresh(observed):
-                self._len_cache = count
-        return count
+    def _read_len(self) -> int:
+        payload, _ = self._request("GET", "/len")
+        return payload["len"]
 
     def __iter__(self) -> Iterator[Row]:
         return self.iter_from(0)
@@ -1039,88 +963,27 @@ class RemoteStore(MasterStore):
         self._request("POST", "/ensure_index",
                       {"attrs": list(tuple(attrs))})
 
-    def _check_key(self, attrs: tuple, key) -> tuple:
-        key = tuple(key)
-        if len(attrs) != len(key):
-            raise ValueError(
-                f"probe key {key} does not match attribute list {attrs}"
-            )
-        return key
-
-    def probe(self, attrs: Iterable, key) -> tuple:
-        # Cache hits and round-trips share one span: the latency
-        # distribution is supposed to show the hit/miss mix.
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="remote", op="probe"
-        ):
-            return self._probe_impl(attrs, key)
-
-    def probe_ref(self, attrs: Iterable, key) -> tuple:
-        self.probe_ref_calls += 1
-        return self.probe(attrs, key)
-
-    def _probe_impl(self, attrs: Iterable, key) -> tuple:
-        attrs = tuple(attrs)
-        key = self._check_key(attrs, key)
-        cache_key = (attrs, key)
-        with self._cache_lock:
-            cached = self._probe_cache.get(cache_key)
-            if cached is not None:
-                return cached
+    def _read_probe(self, attrs: tuple, key: tuple):
         encoded = _wire_key(key)
         if encoded is None:
-            return ()  # unstorable value matches nothing; never cached
-        payload, observed = self._request(
+            return None
+        payload, _ = self._request(
             "POST", "/probe", {"attrs": list(attrs), "key": encoded}
         )
-        result = tuple(
+        return tuple(
             _decode_row(self._schema, cells) for cells in payload["rows"]
         )
-        self._cache_probe(cache_key, result, observed)
-        return result
 
-    def _cache_probe(self, cache_key: tuple, result: tuple,
-                     observed: int) -> None:
-        """Insert one LRU line, but only under the stamp it was read at —
-        a concurrent observation of a newer version means *result* may be
-        stale and must not outlive the invalidation that just happened."""
-        with self._cache_lock:
-            if self._fresh(observed):
-                self._probe_cache.put(cache_key, result)
-
-    def probe_many(self, attrs: Iterable, keys: Iterable) -> dict:
-        """Batched probe: cache misses travel in one ``/probe_many`` body.
-
-        Semantically a :meth:`probe` loop (results land in the LRU too —
-        the batch engine's chunk warm-up is exactly this); the round-trip
-        count drops from one per key to one per call.
-        """
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="remote", op="many"
-        ):
-            return self._probe_many_impl(attrs, keys)
-
-    def _probe_many_impl(self, attrs: Iterable, keys: Iterable) -> dict:
-        attrs = tuple(attrs)
-        out: dict = {}
-        pending: list = []  # (key, encoded) cache misses
-        with self._cache_lock:
-            for key in keys:
-                key = self._check_key(attrs, key)
-                if key in out:
-                    continue
-                cached = self._probe_cache.get((attrs, key))
-                if cached is not None:
-                    out[key] = cached
-                    continue
-                out[key] = ()  # filled below when rows come back
-                encoded = _wire_key(key)
-                if encoded is not None:
-                    pending.append((key, encoded))
-                # else: unstorable key matches nothing; stays (), uncached
+    def _read_many(self, attrs: tuple, keys: list) -> dict:
+        """Every storable key of *keys* in one ``/probe_many`` body."""
+        pending = []  # (key, encoded) pairs
+        for key in keys:
+            encoded = _wire_key(key)
+            if encoded is not None:
+                pending.append((key, encoded))
         if not pending:
-            return out
-        payload, observed = self._request(
+            return {}
+        payload, _ = self._request(
             "POST", "/probe_many",
             {"attrs": list(attrs), "keys": [enc for _, enc in pending]},
         )
@@ -1139,39 +1002,19 @@ class RemoteStore(MasterStore):
                 f"request: check for a proxy mangling request bodies or "
                 f"a server/client version skew"
             )
-        for (key, _), cells_list in zip(pending, results):
-            rows = tuple(
-                _decode_row(self._schema, cells) for cells in cells_list
-            )
-            out[key] = rows
-            self._cache_probe((attrs, key), rows, observed)
-        return out
+        return {
+            key: tuple(_decode_row(self._schema, cells) for cells in rows)
+            for (key, _), rows in zip(pending, results)
+        }
 
-    def active_values(self, attr: str) -> set:
+    def _read_active(self, attr: str) -> set:
         self._schema.index_of(attr)  # KeyError for foreign attrs, as local
-        with self._cache_lock:
-            cached = self._active_cache.get(attr)
-            if cached is not None:
-                return set(cached)
-        payload, observed = self._request(
-            "POST", "/active_values", {"attr": attr}
-        )
-        values = {_decode(v) for v in payload["values"]}
-        with self._cache_lock:
-            if self._fresh(observed):
-                self._active_cache[attr] = values
-        return set(values)
-
-    def probe_cache_info(self) -> dict:
-        """LRU accounting for the benchmark layer (sqlite-compatible)."""
-        with self._cache_lock:
-            info = self._probe_cache.info()
-            info["probe_ref_calls"] = self.probe_ref_calls
-            return info
+        payload, _ = self._request("POST", "/active_values", {"attr": attr})
+        return {_decode(v) for v in payload["values"]}
 
     def connection_info(self) -> dict:
         """Transport accounting: requests, reconnects, observed version."""
-        with self._cache_lock:
+        with self._state_lock:
             return {
                 "url": self._url,
                 "requests": self._requests,
@@ -1214,16 +1057,6 @@ class RemoteStore(MasterStore):
         )
         return payload["updated"]
 
-    def _coerce(self, row) -> Row:
-        if not isinstance(row, Row):
-            return Row(self._schema, row)
-        if row.schema.attributes != self._schema.attributes:
-            raise ValueError(
-                f"row schema {row.schema.name!r} does not match store "
-                f"schema {self._schema.name!r}"
-            )
-        return row
-
     # -- process-boundary protocol -------------------------------------------
 
     def detach(self) -> "RemoteStoreHandle":
@@ -1242,7 +1075,7 @@ class RemoteStore(MasterStore):
         return RemoteStoreHandle(
             url=self._url,
             schema=self._schema,
-            probe_cache_size=self._probe_cache.maxsize,
+            probe_cache_size=self._cache.maxsize,
             timeout=self._timeout,
             poll_interval=self._poll_interval,
             version=self._version,
@@ -1305,5 +1138,5 @@ class RemoteStoreHandle:
             raise StoreUnavailableError(
                 _restart_message(self.url, self.instance, store._instance)
             )
-        store.sync_version(self.version)
+        store.catch_up(self.version)
         return store

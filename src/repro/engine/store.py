@@ -31,33 +31,33 @@ Process boundaries: sqlite connections (and, for that matter, a worker's
 private copy of an in-memory master) cannot cross a ``fork``/``spawn``
 boundary, so stores that can be rehydrated in another process implement
 :meth:`MasterStore.detach`, returning a picklable handle whose
-``reattach()`` re-opens the backend there — carrying the parent's version
-stamp so the worker's derived caches line up with the parent's version
-stream.  The batch engine's process pool ships one handle per worker via
-the pool initializer and re-syncs per chunk with
-:meth:`InMemoryStore.reset_rows` / :meth:`SqliteStore.sync_version`.
+``reattach()`` re-opens the backend there at the parent's version stamp.
+A worker catches up with a parent that mutated the master through one
+call, :meth:`MasterStore.catch_up`: it replays the parent's journal
+deltas when they bridge the gap, else reloads a row snapshot (in-memory
+masters), else just adopts the stamp (sqlite files and remote servers,
+whose rows the worker already shares).
 
-Delta protocol: dropping *every* derived cache per mutation is correct
-but costs 0.6–1.7s per master update at bench scale, so each local
-backend keeps a bounded **delta journal** — the last
+Delta protocol: each backend keeps a bounded **delta journal** — the last
 ``DEFAULT_DELTA_WINDOW`` mutations as :class:`StoreDelta` records
 ``(version, op, values)``, where ``op`` is ``"insert"`` or ``"delete"``
 and an ``update`` appears as its delete+insert pair over two version
 bumps.  :meth:`MasterStore.deltas_since` returns the records strictly
 after a consumer's stamp, or ``None`` whenever it cannot *prove* the
 list is complete: the stamp fell out of the window, the journal saw a
-version gap (bulk loads, ``replace_all``, mutations applied directly to
-a wrapped relation, reattach stamps), or the backend keeps no journal at
-all (the base class).  ``None`` means "fall back to today's full drop",
-so every consumer remains correct unconditionally — the journal only
-ever *narrows* invalidation, never skips it.  Window sizing trades
-memory (one record per mutation) against how far a consumer may lag
-before it pays a full rebuild; the default 256 covers any realistic
-batch-engine lag (consumers resync on the next fix, i.e. within a
-chunk).  :meth:`MasterStore.adopt_deltas` is the worker-side converse:
-apply a parent's delta list instead of reloading a full snapshot,
-returning False when the deltas cannot be applied cleanly (the caller
-then falls back to the snapshot path).
+version gap (bulk loads, mutations applied directly to a wrapped
+relation, catch-ups without deltas), or the backend keeps no journal at
+all (the base class).  ``None`` means "drop everything derived", so
+every consumer stays correct unconditionally — the journal only ever
+*narrows* invalidation, never skips it.  Consumers resync within a
+chunk, so the default window of 256 covers any realistic lag.
+
+Every read the store itself caches — probe lines, rule images, active
+values, the row count — lives in one version-stamped cache owned by
+:class:`MasterStore`.  Mutations only journal and bump the version; the
+cache catches up on its next read, purging exactly the keys each delta
+row projects onto, and accepts a value only under the stamp it was read
+at.  The repair engines apply the same journal to their own caches.
 """
 
 from __future__ import annotations
@@ -212,6 +212,17 @@ class _DeltaJournal:
         return tuple(r for r in records if r.version > start)
 
 
+def _bridge(deltas, current: int, version: int):
+    """The deltas in ``(current, version]`` when they cover exactly that
+    range (one record per version bump), else ``None``."""
+    if deltas is None:
+        return None
+    pending = [d for d in deltas if current < d.version <= version]
+    if [d.version for d in pending] != list(range(current + 1, version + 1)):
+        return None
+    return pending
+
+
 def distinct_image(rows, column: str, guard) -> tuple:
     """``(value, first witness)`` per distinct guard-passing ``tm[column]``
     of *rows*, in row order — the value image of any row sequence."""
@@ -227,73 +238,194 @@ def distinct_image(rows, column: str, guard) -> tuple:
     return tuple(witnesses.items())
 
 
-class _ImageCache:
-    """The version-stamped tables behind :meth:`MasterStore.image`.
+class _StoreCache:
+    """Every read a store caches, stamped with the version it was read at.
 
-    ``tables`` maps ``(attrs, column, guard)`` to ``{key: pairs}``.
-    Reads are lock-free; :meth:`sync` and :meth:`put` run under the lock,
-    and ``put`` lands only while the stamp still equals the version its
-    image was computed at.  A stamp may trail the store (a reader that
-    saw an older version re-stamps backwards); that only leaves more
-    deltas pending for the next sync, never a stale key unpurged.  The
+    Four tables: probe lines ``(attrs, key) -> rows`` in LRU order,
+    bounded by ``maxsize`` (0 keeps none); rule images, ``images`` mapping
+    ``(attrs, column, guard)`` to ``{key: pairs}``; active-value sets
+    ``attr -> set``; and the row count (``length``, ``None`` until read).
+
+    :meth:`refresh` moves the stamp to the store's version: it purges
+    the keys each ``deltas_since(stamp)`` row projects onto in every
+    table (one :meth:`_key` projection serves all four), and drops
+    everything when the journal answers ``None``.  A ``put_*`` refreshes
+    first, then lands only if the stamp still equals the version its
+    value was read at, so a value computed against an older version
+    never lands after a purge.  A stamp may trail the store (a reader
+    that saw an older version re-stamps backwards); that only leaves more
+    deltas pending for the next sync, never a stale key unpurged.  Image
+    hits are lock-free; everything else runs under the lock.  The
     counters are plain ints, like ``probe_ref_calls``: under the thread
     fan-out an increment may be lost, never a cached answer corrupted.
     """
 
-    __slots__ = ("version", "tables", "_positions", "_lock",
-                 "hits", "misses", "purged", "full_drops")
+    __slots__ = ("version", "maxsize", "lines", "images", "actives",
+                 "length", "_line_attrs", "_positions", "_lock",
+                 "hits", "misses", "evictions", "purged",
+                 "image_hits", "image_misses", "image_purged", "full_drops")
 
-    def __init__(self, version: int):
-        self.version = version
-        self.tables: dict = {}
+    def __init__(self, maxsize: int):
+        if maxsize < 0:
+            raise ValueError(f"probe_cache_size must be >= 0, got {maxsize}")
+        self.version = None
+        self.maxsize = maxsize
+        self.lines: OrderedDict = OrderedDict()
+        self.images: dict = {}
+        self.actives: dict = {}
+        self.length = None
+        self._line_attrs: set = set()  # attrs lists that have held a line
         self._positions: dict = {}  # attrs -> value positions in a row
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.purged = 0
+        self.hits = self.misses = self.evictions = self.purged = 0
+        self.image_hits = self.image_misses = self.image_purged = 0
         self.full_drops = 0
+
+    # -- versioning ----------------------------------------------------------
 
     def sync(self, store: "MasterStore", version: int) -> None:
         """Purge what the deltas since the stamp touch; drop all on a gap."""
         with self._lock:
             if self.version == version:
                 return
-            deltas = store.deltas_since(self.version) if self.tables else ()
+            cached = (self.lines or self.images or self.actives
+                      or self.length is not None)
+            deltas = store.deltas_since(self.version) if cached else ()
             if deltas is None:
-                self.tables.clear()
+                self.clear()
                 self.full_drops += 1
             else:
                 for delta in deltas:
-                    self._purge(store.schema, delta.values)
+                    self._purge(store.schema, delta)
             self.version = version
 
-    def _purge(self, schema: RelationSchema, values: tuple) -> None:
-        # A row projects onto exactly one key per table.
-        for (attrs, _column, _guard), table in self.tables.items():
-            positions = self._positions.get(attrs)
-            if positions is None:
-                positions = self._positions[attrs] = [
-                    schema.index_of(a) for a in attrs
-                ]
-            if table.pop(tuple(values[p] for p in positions), None) is not None:
-                self.purged += 1
+    def _key(self, schema: RelationSchema, attrs: tuple, values) -> tuple:
+        """The key a row's *values* project onto over *attrs*."""
+        positions = self._positions.get(attrs)
+        if positions is None:
+            positions = self._positions[attrs] = [
+                schema.index_of(a) for a in attrs
+            ]
+        return tuple(values[p] for p in positions)
 
-    def put(self, version: int, table_key: tuple, key: tuple,
-            pairs: tuple) -> None:
+    def _purge(self, schema: RelationSchema, delta: StoreDelta) -> None:
+        # A row projects onto exactly one key per attribute list.
+        values = delta.values
+        for attrs in self._line_attrs:
+            key = (attrs, self._key(schema, attrs, values))
+            if self.lines.pop(key, None) is not None:
+                self.purged += 1
+        for (attrs, _column, _guard), table in self.images.items():
+            if table.pop(self._key(schema, attrs, values), None) is not None:
+                self.image_purged += 1
+        if delta.op == "insert":
+            # An insert only adds its value to each column's active set.
+            for attr, active in self.actives.items():
+                active.add(self._key(schema, (attr,), values)[0])
+        else:
+            # Whether a deleted value survives in other rows needs a
+            # recount; recompute lazily.
+            self.actives.clear()
+        # Every purge must be safe to apply twice (a trailing stamp
+        # replays deltas an entry already reflects), so the count is
+        # re-read rather than adjusted.
+        self.length = None
+
+    def clear(self) -> None:
+        self.lines.clear()
+        self.images.clear()
+        self.actives.clear()
+        self.length = None
+
+    # -- reads and stamp-checked writes --------------------------------------
+
+    def line(self, key: tuple):
+        """The cached probe line (bumped most-recent) or None."""
+        with self._lock:
+            rows = self.lines.get(key)
+            if rows is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self.lines.move_to_end(key)
+            return rows
+
+    def refresh(self, store: "MasterStore") -> int:
+        """Sync to the store's current version; returns that version."""
+        version = store._cache_version()
+        if self.version != version:
+            self.sync(store, version)
+        return version
+
+    def put_line(self, store, version: int, key: tuple, rows: tuple) -> None:
+        if not self.maxsize:
+            return
+        self.refresh(store)
         with self._lock:
             if self.version == version:
-                self.tables.setdefault(table_key, {})[key] = pairs
+                self._line_attrs.add(key[0])
+                self.lines[key] = rows
+                while len(self.lines) > self.maxsize:
+                    self.lines.popitem(last=False)
+                    self.evictions += 1
 
-    def info(self) -> dict:
+    def put_image(self, store, version: int, table_key: tuple, key: tuple,
+                  pairs: tuple) -> None:
+        self.refresh(store)
+        with self._lock:
+            if self.version == version:
+                self.images.setdefault(table_key, {})[key] = pairs
+
+    def active(self, attr: str):
+        """A caller-owned copy of the cached active set, or None."""
+        with self._lock:
+            values = self.actives.get(attr)
+            return None if values is None else set(values)
+
+    def put_active(self, store, version: int, attr: str, values) -> None:
+        self.refresh(store)
+        with self._lock:
+            if self.version == version:
+                self.actives[attr] = set(values)
+
+    def put_length(self, store, version: int, length: int) -> None:
+        self.refresh(store)
+        with self._lock:
+            if self.version == version:
+                self.length = length
+
+    # -- accounting ----------------------------------------------------------
+
+    def line_info(self) -> dict:
         with self._lock:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
+                "size": len(self.lines),
+                "maxsize": self.maxsize,
+                "evictions": self.evictions,
                 "purged": self.purged,
-                "full_drops": self.full_drops,
-                "tables": len(self.tables),
-                "keys": sum(len(table) for table in self.tables.values()),
             }
+
+    def image_info(self) -> dict:
+        with self._lock:
+            return {
+                "hits": self.image_hits,
+                "misses": self.image_misses,
+                "purged": self.image_purged,
+                "full_drops": self.full_drops,
+                "tables": len(self.images),
+                "keys": sum(len(table) for table in self.images.values()),
+            }
+
+
+def _probe_key(attrs: tuple, key) -> tuple:
+    key = tuple(key)
+    if len(attrs) != len(key):
+        raise ValueError(
+            f"probe key {key} does not match attribute list {attrs}"
+        )
+    return key
 
 
 class MasterStore(ABC):
@@ -305,10 +437,20 @@ class MasterStore(ABC):
     correction values), full iteration (region search and witness
     sweeps), size, and per-column active values.  The write API
     (:meth:`insert` / :meth:`delete` / :meth:`update`) bumps
-    :attr:`version`.  Two ``Relation``-compatible aliases (``lookup``,
-    ``rows``) keep older call sites and external code working unchanged
-    when handed a store.
+    :attr:`version`.
+
+    The cached reads are implemented once, here, over one
+    :class:`_StoreCache`; a backend supplies its raw reads
+    (``_read_probe``, ``_read_many``, ``_read_active``, ``_read_len``),
+    its journal (:meth:`deltas_since`) and its version.
     """
+
+    #: The ``backend`` label of this store's probe spans.
+    _span_label = "store"
+
+    def __init__(self, probe_cache_size: int = 0):
+        self._cache = _StoreCache(probe_cache_size)
+        self.probe_ref_calls = 0
 
     # -- read API ------------------------------------------------------------
 
@@ -321,10 +463,6 @@ class MasterStore(ABC):
     @abstractmethod
     def version(self) -> int:
         """Monotonic counter; moves iff the master data changed."""
-
-    @abstractmethod
-    def __len__(self) -> int:
-        """Number of master tuples."""
 
     @abstractmethod
     def __iter__(self) -> Iterator[Row]:
@@ -342,57 +480,130 @@ class MasterStore(ABC):
         """
         return itertools.islice(iter(self), start, None)
 
-    @abstractmethod
+    def _cache_version(self) -> int:
+        """The stamp the cache checks against.  Backends whose
+        :attr:`version` read may cost a round-trip return their last
+        observed version instead; backends that can be closed raise
+        here, so no cached read outlives the backend."""
+        return self.version
+
+    def __len__(self) -> int:
+        """Number of master tuples."""
+        cache = self._cache
+        version = cache.refresh(self)
+        length = cache.length
+        if length is None:
+            length = self._read_len()
+            cache.put_length(self, version, length)
+        return length
+
     def probe(self, attrs: Iterable, key) -> tuple:
         """Master tuples ``tm`` with ``tm[attrs] == key`` (Sect. 5.1).
 
-        The hot path of every repair probe.  Returns an immutable tuple:
-        callers can never corrupt an internal bucket or cache entry by
-        mutating the result (backends used to hand out aliases of their
-        cache lines under a doc-only "read-only" contract; now the type
-        system enforces it).  Hot paths that want to skip even the
-        cache-miss copy can use :meth:`probe_ref`.
+        The hot path of every repair probe, served from the probe LRU
+        when the backend keeps one.  Returns an immutable tuple: callers
+        can never corrupt an internal bucket or cache line by mutating
+        the result.  Hot paths that want to skip even the cache-miss copy
+        can use :meth:`probe_ref`.
         """
+        # The span covers cache hits and misses alike: the hit/miss mix
+        # is exactly what the latency distribution is supposed to show.
+        with obs.time_block(
+            "repro_store_probe_seconds", backend=self._span_label, op="probe"
+        ):
+            attrs = tuple(attrs)
+            key = _probe_key(attrs, key)
+            cache = self._cache
+            version = cache.refresh(self)
+            rows = cache.line((attrs, key))
+            if rows is None:
+                rows = self._read_probe(attrs, key)
+                if rows is None:
+                    return ()  # unstorable value matches nothing; uncached
+                cache.put_line(self, version, (attrs, key), rows)
+            return rows
 
     def probe_ref(self, attrs: Iterable, key):
         """No-copy variant of :meth:`probe` for read-only hot paths.
 
         Mirrors the ``HashIndex.get`` / ``get_ref`` split: the result may
         alias internal state (a hash bucket, a cache entry) and MUST NOT
-        be mutated.  The default simply forwards to :meth:`probe` (already
-        alias-free); backends override when they have a cheaper aliasing
-        path.
+        be mutated.  The default forwards to :meth:`probe` (already
+        alias-free) and counts the call, the only telemetry this path can
+        afford (an obs span per call would dominate the chase hot loop).
         """
+        self.probe_ref_calls += 1
         return self.probe(attrs, key)
 
     def probe_many(self, attrs: Iterable, keys: Iterable) -> dict:
         """Batched probe: ``{tuple(key): self.probe(attrs, key)}`` per key.
 
-        Backends with per-probe round-trip cost (sqlite, and any future
-        remote store) override this with a single batched plan; the
-        default loops over :meth:`probe`.  Duplicate keys collapse onto
-        one entry.  The batch engine's process-pool chunk warm-up calls
-        this with every rule key of a chunk to amortize round-trips.
+        Semantically a :meth:`probe` loop whose results land in the probe
+        LRU too (the batch engine's chunk warm-up is exactly this), but
+        the cache misses go to the backend in one ``_read_many`` call —
+        one ``IN``-clause plan for sqlite, one request for a remote
+        server.  Duplicate keys collapse onto one entry.
         """
-        attrs = tuple(attrs)
-        out: dict = {}
+        with obs.time_block(
+            "repro_store_probe_seconds", backend=self._span_label, op="many"
+        ):
+            attrs = tuple(attrs)
+            cache = self._cache
+            version = cache.refresh(self)
+            out: dict = {}
+            pending: list = []
+            for key in keys:
+                key = _probe_key(attrs, key)
+                if key not in out:
+                    rows = cache.line((attrs, key))
+                    if rows is None:
+                        pending.append(key)
+                    out[key] = rows or ()
+            if pending:
+                # Keys the backend cannot store stay absent: (), uncached.
+                for key, rows in self._read_many(attrs, pending).items():
+                    out[key] = rows
+                    cache.put_line(self, version, (attrs, key), rows)
+            return out
+
+    def _read_probe(self, attrs: tuple, key: tuple):
+        """The backend's own probe: the matching rows as a tuple, or
+        ``None`` for a key it cannot store (which matches nothing)."""
+        raise NotImplementedError
+
+    def _read_many(self, attrs: tuple, keys: list) -> dict:
+        """``{key: rows}`` for every storable key of *keys*; the default
+        loops over :meth:`_read_probe`."""
+        out = {}
         for key in keys:
-            key = tuple(key)
-            if len(key) != len(attrs):
-                raise ValueError(
-                    f"probe key {key} does not match attribute list {attrs}"
-                )
-            if key not in out:
-                out[key] = self.probe(attrs, key)
+            rows = self._read_probe(attrs, key)
+            if rows is not None:
+                out[key] = rows
         return out
+
+    def _read_active(self, attr: str):
+        """The distinct values of column *attr*, read from the backend
+        into a new set (the caller keeps it; the cache stores a copy)."""
+        raise NotImplementedError
+
+    def _read_len(self) -> int:
+        """The row count, read from the backend."""
+        raise NotImplementedError
 
     @abstractmethod
     def ensure_index(self, attrs: Iterable) -> None:
         """Force the probe index over *attrs* so later probes are O(1)."""
 
-    @abstractmethod
     def active_values(self, attr: str) -> set:
-        """The set of values appearing in master column *attr*."""
+        """The set of values appearing in master column *attr* (a copy
+        the caller owns)."""
+        cache = self._cache
+        version = cache.refresh(self)
+        values = cache.active(attr)
+        if values is None:
+            values = self._read_active(attr)
+            cache.put_active(self, version, attr, values)
+        return values
 
     def scan_probe(self, attrs: Iterable, key) -> tuple:
         """Index-free probe (the ablation A2 baseline)."""
@@ -417,55 +628,53 @@ class MasterStore(ABC):
         Images are cached per ``(attrs, column, guard)`` table and filled
         lazily, one ``probe_ref`` per key; a key is cached only when its
         probe returned rows, so no table holds more keys than the master
-        has rows.  The cache is stamped with :attr:`version`: when the
-        version moves, each :meth:`deltas_since` record purges the one
-        key it projects onto per table, and a ``None`` answer drops every
-        table.  Writes are stamp-checked under a lock, so an image
-        computed against an older version never lands after a purge.
+        has rows.  The tables live in the store's version-stamped cache,
+        purged per key from :meth:`deltas_since` and dropped on a gap.
         """
         attrs = tuple(attrs)
         key = tuple(key)
-        version = self._image_version()
-        cache = self.__dict__.get("_images")
-        if cache is None:
-            cache = self.__dict__.setdefault("_images", _ImageCache(version))
-        elif cache.version != version:
+        cache = self._cache
+        version = self._cache_version()  # refresh(), inlined: the hot path
+        if cache.version != version:
             cache.sync(self, version)
         table_key = (attrs, column, guard)
-        table = cache.tables.get(table_key)
+        table = cache.images.get(table_key)
         if table is not None:
             pairs = table.get(key)
             if pairs is not None:
-                cache.hits += 1
+                cache.image_hits += 1
                 return pairs
-        cache.misses += 1
+        cache.image_misses += 1
         rows = self.probe_ref(attrs, key)
         pairs = distinct_image(rows, column, guard)
         if rows:
-            cache.put(version, table_key, key, pairs)
+            cache.put_image(self, version, table_key, key, pairs)
         return pairs
 
-    def _image_version(self) -> int:
-        """The stamp :meth:`image` checks its cache against.  Backends
-        whose :attr:`version` read may cost a round-trip return their last
-        observed version instead."""
-        return self.version
+    # -- cache accounting ----------------------------------------------------
+
+    def probe_cache_info(self) -> dict:
+        """Probe-LRU accounting for the benchmark layer: ``hits`` /
+        ``misses`` per lookup, ``size`` / ``maxsize`` lines, capacity
+        ``evictions``, lines ``purged`` by journal deltas, and
+        ``probe_ref_calls``."""
+        info = self._cache.line_info()
+        info["probe_ref_calls"] = self.probe_ref_calls
+        return info
 
     def image_cache_info(self) -> dict:
-        """Accounting of the :meth:`image` cache, kept apart from
+        """Accounting of the :meth:`image` tables, kept apart from
         ``probe_cache_info`` so the probe LRU's counters keep their
         meaning: ``hits``/``misses`` per call, ``purged`` keys dropped by
         journal deltas, ``full_drops`` of a non-empty cache on a journal
         gap, and the current ``tables``/``keys``."""
-        cache = self.__dict__.get("_images")
-        return (cache if cache is not None else _ImageCache(0)).info()
+        return self._cache.image_info()
 
     # -- process-boundary protocol -------------------------------------------
 
     #: Whether worker processes reattached from a handle observe this
-    #: store's mutations through shared storage (a database file).  False
-    #: means a resync must ship the rows themselves (see the batch
-    #: engine's per-chunk snapshot protocol).
+    #: store's mutations through shared storage (a database file, a
+    #: server).  False means a catch-up must ship the rows themselves.
     shares_storage_across_processes = False
 
     #: Whether :meth:`probe_many` is cheaper than a probe loop here (drives
@@ -487,6 +696,23 @@ class MasterStore(ABC):
             f"fork/spawn boundary (no detach() implementation)"
         )
 
+    def catch_up(self, version: int, deltas=None, rows=None) -> None:
+        """Bring a reattached copy to its parent's *version*.
+
+        The one resync entry point of the process protocol.  *deltas* (the
+        parent's ``deltas_since`` answer, possibly ``None``) are used when
+        they bridge the gap, which keeps this store's journal contiguous
+        so every cache above it purges per key; otherwise *rows* (a
+        snapshot, for backends that do not share storage) replace the
+        contents; otherwise the store adopts *version* and its caches drop
+        on the next read.  Only moves forward: a *version* at or below
+        the current one is a no-op.
+        """
+        raise ValueError(
+            f"{type(self).__name__} does not support catching up with a "
+            f"parent process (no detach() implementation)"
+        )
+
     # -- delta protocol ------------------------------------------------------
 
     def deltas_since(self, version: int):
@@ -501,17 +727,6 @@ class MasterStore(ABC):
         cache drop, so correctness never depends on the journal.
         """
         return None
-
-    def adopt_deltas(self, deltas, version: int) -> bool:
-        """Apply a parent's delta list and land on its *version* stamp.
-
-        The incremental counterpart of the snapshot resync protocol:
-        returns True iff the store's contents now equal the parent's at
-        *version*.  False (the default) means the deltas could not be
-        applied cleanly here; the caller must fall back to the full
-        resync path (``reset_rows`` / ``sync_version``).
-        """
-        return False
 
     # -- write API -----------------------------------------------------------
 
@@ -538,16 +753,20 @@ class MasterStore(ABC):
         self.insert(new)
         return True
 
-    # -- Relation-compatible aliases -----------------------------------------
+    def _coerce(self, row) -> Row:
+        """*row* as a :class:`Row` of this store's schema."""
+        if not isinstance(row, Row):
+            return Row(self.schema, row)
+        if row.schema.attributes != self.schema.attributes:
+            raise ValueError(
+                f"row schema {row.schema.name!r} does not match store "
+                f"schema {self.schema.name!r}"
+            )
+        return row
 
     def lookup(self, attrs: Iterable, key) -> tuple:
         """Alias of :meth:`probe` (``Relation``-compatible spelling)."""
         return self.probe(attrs, key)
-
-    @property
-    def rows(self) -> list:
-        """A materialized copy of all master tuples (external callers only)."""
-        return list(self)
 
     def __repr__(self) -> str:
         return (
@@ -560,18 +779,21 @@ class InMemoryStore(MasterStore):
     """The paper's setting: ``Dm`` in RAM behind cached hash indexes.
 
     A thin adapter over :class:`~repro.engine.relation.Relation`; probes
-    reuse the relation's per-attribute-list :class:`HashIndex` cache, and
+    reuse the relation's per-attribute-list :class:`HashIndex` cache (a
+    hash bucket is already O(1), so the probe LRU keeps no lines), and
     ``version`` is the relation's mutation counter, so mutations made
     directly on the wrapped relation are noticed too.
     """
 
+    _span_label = "memory"
+
     def __init__(
         self, relation: Relation, delta_window: int = DEFAULT_DELTA_WINDOW
     ):
+        super().__init__(probe_cache_size=0)
         self._relation = relation
         self._journal = _DeltaJournal(delta_window)
         self._journal.reset(relation.mutation_count)
-        self.probe_ref_calls = 0
 
     @classmethod
     def from_rows(
@@ -611,33 +833,24 @@ class InMemoryStore(MasterStore):
             yield relation.row_at(index)
             index += 1
 
-    def probe(self, attrs: Iterable, key) -> tuple:
-        # The relation's lookup aliases the live index bucket (it shrinks
-        # under deletes and grows under inserts); the public probe hands
-        # out an immutable snapshot instead.  Only this copying entry point
-        # carries the probe span: the chase/TransFix hot loops go through
-        # probe_ref, which must stay bare.
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="memory", op="probe"
-        ):
-            return tuple(self.probe_ref(attrs, key))
-
     def probe_ref(self, attrs: Iterable, key):
-        # A plain-int counter is the only telemetry this path can afford
-        # (an obs span per call would dominate the chase hot loop).
+        # Straight to the hash bucket: no LRU in between and no copy (the
+        # relation's lookup aliases the live bucket, which shrinks under
+        # deletes and grows under inserts; probe hands out a snapshot).
         self.probe_ref_calls += 1
         attrs = tuple(attrs)
-        key = tuple(key)
-        if len(attrs) != len(key):
-            raise ValueError(
-                f"probe key {key} does not match attribute list {attrs}"
-            )
-        return self._relation.lookup(attrs, key)
+        return self._relation.lookup(attrs, _probe_key(attrs, key))
+
+    def _read_probe(self, attrs: tuple, key: tuple) -> tuple:
+        return tuple(self._relation.lookup(attrs, key))
 
     def ensure_index(self, attrs: Iterable) -> None:
         self._relation.index_on(attrs)
 
     def active_values(self, attr: str) -> set:
+        # Straight from the relation, like len and probe_ref.  Caching it
+        # would also speed up the full-drop region rebuild that
+        # `make bench-invalidation` measures the delta path against.
         return self._relation.active_values(attr)
 
     def scan_probe(self, attrs: Iterable, key) -> tuple:
@@ -669,35 +882,6 @@ class InMemoryStore(MasterStore):
     def deltas_since(self, version: int):
         return self._journal.since(version, self._relation.mutation_count)
 
-    def adopt_deltas(self, deltas, version: int) -> bool:
-        """Replay a parent's delta list onto this snapshot copy.
-
-        Validates the list is exactly the contiguous range from this
-        store's stamp to *version* before touching anything; a delete
-        that misses mid-replay returns False (contents diverged — the
-        caller's snapshot fallback replaces everything, so a partial
-        replay is harmless).
-        """
-        if deltas is None:
-            return False
-        current = self._relation.mutation_count
-        deltas = tuple(deltas)
-        if len(deltas) != version - current:
-            return False
-        for offset, delta in enumerate(deltas):
-            if delta.version != current + 1 + offset:
-                return False
-        for delta in deltas:
-            row = Row(self.schema, delta.values)
-            if delta.op == "insert":
-                self.insert(row)
-            elif delta.op == "delete":
-                if not self.delete(row):
-                    return False
-            else:
-                return False
-        return self._relation.mutation_count == version
-
     # -- process-boundary protocol -------------------------------------------
 
     def detach(self) -> "MemoryStoreHandle":
@@ -705,9 +889,9 @@ class InMemoryStore(MasterStore):
 
         The snapshot is by value: a worker's reattached copy does NOT see
         later parent mutations — after a version move the batch engine
-        ships a fresh snapshot with every dispatched chunk until all
-        workers have acknowledged the new stamp (each worker applies it
-        at most once; see ``BatchRepairEngine._task_for``).
+        ships the journal gap and a fresh snapshot with every dispatched
+        chunk until all workers have acknowledged the new stamp (each
+        worker catches up at most once; see ``BatchRepairEngine._task_for``).
         """
         return MemoryStoreHandle(
             schema=self.schema,
@@ -715,107 +899,39 @@ class InMemoryStore(MasterStore):
             version=self.version,
         )
 
-    def reset_rows(self, rows: Iterable, version: int) -> None:
-        """Replace the master contents and jump to the parent's *version*.
+    def catch_up(self, version: int, deltas=None, rows=None) -> None:
+        """Replay the parent's *deltas*, else reload the *rows* snapshot.
 
-        The worker-side half of the snapshot resync protocol: indexes and
-        the store wrapper survive (rebuilt lazily), and the version stamp
-        is taken verbatim from the parent so every derived cache stamped
-        with an older version invalidates on the next compare.
-
-        The journal restarts at *version*: the replacement is a bulk
-        mutation with no per-row deltas, so consumers stamped earlier
-        must full-drop, while deltas recorded after this point replay
-        normally (the reattach + adopt_deltas path relies on that).
+        The replay runs only when the deltas are exactly the contiguous
+        range from this store's stamp to *version*, so this store's
+        journal stays contiguous too; a delete that misses mid-replay
+        means the contents diverged, and the snapshot then replaces
+        everything (a partial replay is harmless).  A reload is one bulk
+        mutation with no per-row deltas: the journal restarts at
+        *version*, so caches stamped earlier drop on their next read.
         """
+        current = self.version
+        if version <= current:
+            return
+        pending = _bridge(deltas, current, version)
+        if pending is not None and self._replay(pending):
+            return
+        if rows is None:
+            raise ValueError(
+                f"an InMemoryStore at version {current} cannot catch up "
+                f"with version {version} without the deltas or the rows"
+            )
         self._relation.replace_all(rows, mutation_count=version)
         self._journal.reset(version)
 
-
-class _ProbeLRU:
-    """Bounded LRU of ``(attrs, key) -> immutable probe tuple`` lines.
-
-    Shared by every backend fronting a slow medium (sqlite, HTTP): one
-    implementation of the hit/miss accounting, recency bumping and
-    eviction, so cache fixes cannot silently diverge per backend.  Not
-    itself thread-safe — callers hold their own lock around ``get``/
-    ``put``, exactly as they must around the surrounding bookkeeping.
-    """
-
-    __slots__ = ("_data", "maxsize", "hits", "misses", "evictions", "purged")
-
-    def __init__(self, maxsize: int):
-        if maxsize < 0:
-            raise ValueError(f"probe_cache_size must be >= 0, got {maxsize}")
-        self._data: OrderedDict = OrderedDict()
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0  # capacity evictions (LRU tail dropped)
-        self.purged = 0     # delta-targeted removals (purge_row)
-
-    def get(self, key):
-        """The cached line (bumped most-recent) or None; counts hit/miss."""
-        entry = self._data.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._data.move_to_end(key)
-        return entry
-
-    def put(self, key, value) -> None:
-        if not self.maxsize:
-            return
-        self._data[key] = value
-        while len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def pop(self, key) -> None:
-        """Drop one line without touching the hit/miss accounting."""
-        if self._data.pop(key, None) is not None:
-            self.purged += 1
-
-    def purge_row(self, schema, values) -> int:
-        """Evict exactly the lines a mutated master row can affect.
-
-        A probe ``(attrs, key)`` changes iff the row projects onto the
-        key: ``row[attrs] == key``.  Lines keyed on attribute lists the
-        row cannot project onto (unstorable values never enter the
-        cache, so projection always succeeds) stay valid — this is the
-        per-key purge that replaces a full ``clear()`` on the delta
-        path.  Returns the number of lines dropped.
-        """
-        positions: dict = {}
-        doomed = []
-        for attrs, key in self._data:
-            pos = positions.get(attrs)
-            if pos is None:
-                pos = positions[attrs] = [schema.index_of(a) for a in attrs]
-            if tuple(values[p] for p in pos) == key:
-                doomed.append((attrs, key))
-        for line in doomed:
-            del self._data[line]
-        self.purged += len(doomed)
-        return len(doomed)
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def info(self) -> dict:
-        """Accounting snapshot (the benchmark layer's shape)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "size": len(self._data),
-            "maxsize": self.maxsize,
-            "evictions": self.evictions,
-            "purged": self.purged,
-        }
+    def _replay(self, pending) -> bool:
+        for delta in pending:
+            row = Row(self.schema, delta.values)
+            if delta.op == "insert":
+                self.insert(row)
+            elif not self.delete(row):
+                return False
+        return True
 
 
 # -- sqlite value codec --------------------------------------------------------
@@ -874,15 +990,17 @@ class SqliteStore(MasterStore):
     """Out-of-core master data behind indexed sqlite tables.
 
     Rows live in one table (``rid`` preserving insertion order, one tagged
-    TEXT column per attribute).  :meth:`probe` creates the matching sqlite
-    index on first use and fronts it with a bounded LRU cache keyed on
-    ``(attrs, key)``; every mutation bumps :attr:`version` and drops the
-    probe / active-value caches, so a stale hit can never survive a master
-    update.  The connection is shared across threads behind a lock (the
-    batch engine's thread fan-out probes concurrently).
+    TEXT column per attribute).  A probe creates the matching sqlite
+    index on first use, behind the store's bounded probe LRU keyed on
+    ``(attrs, key)``.  Every mutation journals its row and bumps
+    :attr:`version`; the store's cache purges the lines that row projects
+    onto on its next read, so a stale hit never survives a master update.
+    The connection is shared across threads behind a lock (the batch
+    engine's thread fan-out probes concurrently).
     """
 
     _ITER_BATCH = 1024
+    _span_label = "sqlite"
 
     def __init__(
         self,
@@ -901,7 +1019,7 @@ class SqliteStore(MasterStore):
         re-streaming a master CSV into the same file) must pass
         ``fresh=True`` to clear the table first instead of duplicating it.
         """
-        self._probe_cache = _ProbeLRU(probe_cache_size)
+        super().__init__(probe_cache_size)
         self._schema = schema
         self._path = None if path is None else str(path)
         self._columns = [f"c{i}" for i in range(len(schema))]
@@ -922,15 +1040,10 @@ class SqliteStore(MasterStore):
         )
         if fresh:
             self._db.execute("DELETE FROM master")
-        self._count = self._db.execute(
-            "SELECT COUNT(*) FROM master"
-        ).fetchone()[0]
         self._version = 0
         self._indexed: set = set()
         self._probe_plans: dict = {}  # attrs tuple -> prepared SELECT
-        self._active_cache: dict = {}
         self._journal = _DeltaJournal(delta_window)
-        self.probe_ref_calls = 0
         self._insert_many(rows)
 
     @classmethod
@@ -958,8 +1071,9 @@ class SqliteStore(MasterStore):
     def version(self) -> int:
         return self._version
 
-    def __len__(self) -> int:
-        return self._count
+    def _cache_version(self) -> int:
+        self._guard()
+        return self._version
 
     def __iter__(self) -> Iterator[Row]:
         # Window over rid rather than holding one cursor open: robust to
@@ -997,6 +1111,10 @@ class SqliteStore(MasterStore):
             for record in batch:
                 yield Row(schema, [_decode(cell) for cell in record[1:]])
 
+    def _read_len(self) -> int:
+        with self._lock:
+            return self._db.execute("SELECT COUNT(*) FROM master").fetchone()[0]
+
     # -- probes --------------------------------------------------------------
 
     def _column_of(self, attr: str) -> str:
@@ -1017,36 +1135,7 @@ class SqliteStore(MasterStore):
             )
             self._indexed.add(name)
 
-    def probe(self, attrs: Iterable, key) -> tuple:
-        # The span covers cache hits and misses alike: the hit/miss mix is
-        # exactly what the latency distribution is supposed to show.
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="sqlite", op="probe"
-        ):
-            return self._probe_impl(attrs, key)
-
-    def probe_ref(self, attrs: Iterable, key):
-        # Same result as probe (already alias-free); the override exists
-        # only to count the hot path, which cannot afford an obs span.
-        self.probe_ref_calls += 1
-        return self.probe(attrs, key)
-
-    def _probe_impl(self, attrs: Iterable, key) -> tuple:
-        self._guard()
-        attrs = tuple(attrs)
-        key = tuple(key)
-        if len(attrs) != len(key):
-            raise ValueError(
-                f"probe key {key} does not match attribute list {attrs}"
-            )
-        cache_key = (attrs, key)
-        with self._lock:
-            cached = self._probe_cache.get(cache_key)
-            if cached is not None:
-                # Cache lines are tuples, so handing out the cached object
-                # itself is safe: no caller can corrupt the cache by
-                # mutating a probe result (they used to be shared lists).
-                return cached
+    def _read_probe(self, attrs: tuple, key: tuple):
         select = self._probe_plans.get(attrs)
         if select is None:
             self.ensure_index(attrs)
@@ -1059,61 +1148,30 @@ class SqliteStore(MasterStore):
         try:
             encoded = [_encode(v) for v in key]
         except TypeError:
-            return ()  # unstorable value (e.g. FreshValue) matches nothing
+            return None
         with self._lock:
             records = self._db.execute(select, encoded).fetchall()
-            result = tuple(
-                Row(self._schema, [_decode(cell) for cell in record])
-                for record in records
-            )
-            self._probe_cache.put(cache_key, result)
-        return result
+        return tuple(
+            Row(self._schema, [_decode(cell) for cell in record])
+            for record in records
+        )
 
     #: How many probe keys one batched ``IN``-clause statement may carry;
     #: bounded so ``len(attrs) * _PROBE_BATCH`` stays far below sqlite's
     #: host-parameter limit (999 in older builds).
     _PROBE_BATCH = 200
 
-    def probe_many(self, attrs: Iterable, keys: Iterable) -> dict:
-        """Batched probe with one ``IN``-clause round-trip per key block.
-
-        Semantically identical to a :meth:`probe` loop (results land in the
-        LRU cache too, which is what the batch engine's chunk warm-up is
-        after), but misses are fetched with
-        ``WHERE (c1, ..., ck) IN (VALUES ...)`` over blocks of keys instead
-        of one SELECT per key.
-        """
-        with obs.time_block(
-            "repro_store_probe_seconds", backend="sqlite", op="many"
-        ):
-            return self._probe_many_impl(attrs, keys)
-
-    def _probe_many_impl(self, attrs: Iterable, keys: Iterable) -> dict:
-        self._guard()
-        attrs = tuple(attrs)
-        out: dict = {}
-        pending: list = []  # (original key, encoded key) cache misses
-        with self._lock:
-            for key in keys:
-                key = tuple(key)
-                if len(attrs) != len(key):
-                    raise ValueError(
-                        f"probe key {key} does not match attribute list "
-                        f"{attrs}"
-                    )
-                if key in out:
-                    continue
-                cached = self._probe_cache.get((attrs, key))
-                if cached is not None:
-                    out[key] = cached
-                    continue
-                try:
-                    out[key] = ()  # filled below when rows come back
-                    pending.append((key, tuple(_encode(v) for v in key)))
-                except TypeError:
-                    pass  # unstorable key matches nothing; stays ()
+    def _read_many(self, attrs: tuple, keys: list) -> dict:
+        """One ``WHERE (c1, ..., ck) IN (VALUES ...)`` round-trip per
+        block of keys instead of one SELECT per key."""
+        pending = []  # (key, encoded key); unstorable keys match nothing
+        for key in keys:
+            try:
+                pending.append((key, tuple(_encode(v) for v in key)))
+            except TypeError:
+                pass
         if not pending:
-            return out
+            return {}
         self.ensure_index(attrs)
         columns = [self._column_of(a) for a in attrs]
         key_expr = (
@@ -1129,48 +1187,35 @@ class SqliteStore(MasterStore):
         # (the IN row-value constrains every position), so positional
         # grouping is exact even for repeated attrs.
         positions = [self._schema.index_of(a) for a in attrs]
-        with self._lock:
-            for start in range(0, len(pending), self._PROBE_BATCH):
-                block = pending[start:start + self._PROBE_BATCH]
-                select = (
-                    f"SELECT {', '.join(self._columns)} FROM master "
-                    f"WHERE {key_expr} IN "
-                    f"({', '.join(placeholder for _ in block)}) "
-                    f"ORDER BY rid"
+        out: dict = {}
+        for start in range(0, len(pending), self._PROBE_BATCH):
+            block = pending[start:start + self._PROBE_BATCH]
+            select = (
+                f"SELECT {', '.join(self._columns)} FROM master "
+                f"WHERE {key_expr} IN "
+                f"({', '.join(placeholder for _ in block)}) "
+                f"ORDER BY rid"
+            )
+            params = [cell for _, encoded in block for cell in encoded]
+            with self._lock:
+                records = self._db.execute(select, params).fetchall()
+            grouped: dict = {}  # encoded key -> list of Rows
+            for record in records:
+                enc = tuple(record[p] for p in positions)
+                grouped.setdefault(enc, []).append(
+                    Row(self._schema, [_decode(c) for c in record])
                 )
-                params = [cell for _, encoded in block for cell in encoded]
-                grouped: dict = {}  # encoded key -> list of Rows
-                for record in self._db.execute(select, params).fetchall():
-                    enc = tuple(record[p] for p in positions)
-                    grouped.setdefault(enc, []).append(
-                        Row(self._schema, [_decode(c) for c in record])
-                    )
-                for key, encoded in block:
-                    rows = tuple(grouped.get(encoded, ()))
-                    out[key] = rows
-                    self._probe_cache.put((attrs, key), rows)
+            for key, encoded in block:
+                out[key] = tuple(grouped.get(encoded, ()))
         return out
 
-    def active_values(self, attr: str) -> set:
-        self._guard()
+    def _read_active(self, attr: str) -> set:
+        column = self._column_of(attr)
         with self._lock:
-            cached = self._active_cache.get(attr)
-            if cached is None:
-                records = self._db.execute(
-                    f"SELECT DISTINCT {self._column_of(attr)} FROM master"
-                ).fetchall()
-                cached = {_decode(record[0]) for record in records}
-                self._active_cache[attr] = cached
-        # Copy: the in-memory backend hands out a fresh set per call, and a
-        # caller mutating the cached set must not poison later calls.
-        return set(cached)
-
-    def probe_cache_info(self) -> dict:
-        """LRU accounting for the benchmark layer."""
-        with self._lock:
-            info = self._probe_cache.info()
-            info["probe_ref_calls"] = self.probe_ref_calls
-            return info
+            records = self._db.execute(
+                f"SELECT DISTINCT {column} FROM master"
+            ).fetchall()
+        return {_decode(record[0]) for record in records}
 
     # -- process-boundary protocol -------------------------------------------
 
@@ -1197,51 +1242,29 @@ class SqliteStore(MasterStore):
         return SqliteStoreHandle(
             schema=self._schema,
             path=self._path,
-            probe_cache_size=self._probe_cache.maxsize,
+            probe_cache_size=self._cache.maxsize,
             version=self._version,
         )
 
-    def sync_version(self, version: int, deltas=None) -> None:
+    def catch_up(self, version: int, deltas=None, rows=None) -> None:
         """Adopt the parent's *version* after it mutated the shared file.
 
-        The worker-side half of the resync protocol for file-backed
-        stores: the data itself arrives through the database file (every
-        parent mutation is autocommitted), so the worker only needs to
-        refresh its connection-local caches.  When the parent also ships
-        the *deltas* covering the version gap, the refresh is surgical —
-        per-row probe-cache purges and active-set patches instead of a
-        wholesale drop + recount; otherwise (or when the delta list does
-        not bridge the gap) the full drop runs as before.  A no-op when
-        the stamp already matches.
+        The rows already arrived through the database file (every parent
+        mutation is autocommitted), so only the stamp moves; *rows* is
+        ignored.  Deltas that bridge the gap extend this store's journal,
+        so the caches above it purge per key; otherwise the journal
+        restarts at *version* and they drop on their next read.
         """
         self._guard()
         with self._lock:
-            if version == self._version:
+            if version <= self._version:
                 return
-            if deltas is not None and self._sync_deltas(deltas, version):
-                return
+            pending = _bridge(deltas, self._version, version)
+            if pending is None:
+                self._journal.reset(version)
+            for delta in pending or ():
+                self._journal.record(delta.version, delta.op, delta.values)
             self._version = version
-            self._probe_cache.clear()
-            self._active_cache.clear()
-            self._journal.reset(version)
-            self._count = self._db.execute(
-                "SELECT COUNT(*) FROM master"
-            ).fetchone()[0]
-
-    def _sync_deltas(self, deltas, version: int) -> bool:
-        """Apply a parent's delta list under the lock; False on any gap."""
-        pending = [d for d in deltas if d.version > self._version]
-        if len(pending) != version - self._version:
-            return False
-        for offset, delta in enumerate(pending):
-            if delta.version != self._version + 1 + offset:
-                return False
-            if delta.op not in ("insert", "delete"):
-                return False
-        for delta in pending:
-            self._count += 1 if delta.op == "insert" else -1
-            self._bump_delta(delta.op, delta.values)
-        return True
 
     # -- delta protocol ------------------------------------------------------
 
@@ -1249,53 +1272,7 @@ class SqliteStore(MasterStore):
         with self._lock:
             return self._journal.since(version, self._version)
 
-    def adopt_deltas(self, deltas, version: int) -> bool:
-        """Resync to the parent's *version*, surgically when possible.
-
-        Always succeeds for this backend: the row data lives in the
-        shared database file, so even an unusable delta list just means
-        the full-drop path of :meth:`sync_version` runs instead.
-        """
-        self.sync_version(version, deltas)
-        return True
-
     # -- mutation ------------------------------------------------------------
-
-    def _bump_bulk(self) -> None:
-        """Version bump for a bulk mutation: no per-row deltas exist, so
-        every connection-local cache drops and the journal restarts."""
-        self._version += 1
-        self._probe_cache.clear()
-        self._active_cache.clear()
-        self._journal.reset(self._version)
-
-    def _bump_delta(self, op: str, values: tuple) -> None:
-        """Per-key version bump: journal the delta and purge exactly the
-        probe-cache lines the mutated row projects onto, keeping the rest
-        of the LRU warm across the mutation."""
-        self._version += 1
-        self._journal.record(self._version, op, values)
-        self._probe_cache.purge_row(self._schema, values)
-        if op == "insert":
-            # An insert can only *add* to a column's active set; patch the
-            # cached sets in place (active_values hands out copies, so no
-            # caller aliases them).
-            for attr, cached in self._active_cache.items():
-                cached.add(values[self._schema.index_of(attr)])
-        else:
-            # Whether a deleted value survives in other rows needs a
-            # recount; recompute lazily.
-            self._active_cache.clear()
-
-    def _coerce(self, row) -> Row:
-        if not isinstance(row, Row):
-            return Row(self._schema, row)
-        if row.schema.attributes != self._schema.attributes:
-            raise ValueError(
-                f"row schema {row.schema.name!r} does not match store "
-                f"schema {self._schema.name!r}"
-            )
-        return row
 
     def _insert_sql(self) -> str:
         placeholders = ", ".join("?" for _ in self._columns)
@@ -1310,7 +1287,8 @@ class SqliteStore(MasterStore):
         Autocommit pays one journal sync per row, which would turn a large
         on-disk load into minutes; batching commits keeps the streaming
         CSV path (the whole point of the out-of-core backend) fast.  One
-        version bump at the end — the load is a single logical mutation.
+        version bump at the end — the load is a single logical mutation
+        with no per-row deltas, so the journal restarts there.
         """
         sql = self._insert_sql()
         inserted = 0
@@ -1332,8 +1310,16 @@ class SqliteStore(MasterStore):
                     raise
                 inserted += len(batch)
             if inserted:
-                self._count += inserted
-                self._bump_bulk()
+                self._version += 1
+                self._journal.reset(self._version)
+
+    def _journal_mutation(self, op: str, encoded: list) -> None:
+        # Journal the codec-canonical values (what probes/iteration
+        # decode back), not the caller's spelling of them.
+        self._version += 1
+        self._journal.record(
+            self._version, op, tuple(_decode(c) for c in encoded)
+        )
 
     def insert(self, row) -> None:
         self._guard()
@@ -1341,10 +1327,7 @@ class SqliteStore(MasterStore):
         encoded = [_encode(v) for v in row.values]
         with self._lock:
             self._db.execute(self._insert_sql(), encoded)
-            self._count += 1
-            # Journal the codec-canonical values (what probes/iteration
-            # decode back), not the caller's spelling of them.
-            self._bump_delta("insert", tuple(_decode(c) for c in encoded))
+            self._journal_mutation("insert", encoded)
 
     def delete(self, row) -> bool:
         self._guard()
@@ -1362,8 +1345,7 @@ class SqliteStore(MasterStore):
             if record is None:
                 return False
             self._db.execute("DELETE FROM master WHERE rid = ?", record)
-            self._count -= 1
-            self._bump_delta("delete", tuple(_decode(c) for c in encoded))
+            self._journal_mutation("delete", encoded)
         return True
 
     def close(self) -> None:
@@ -1387,15 +1369,11 @@ class MemoryStoreHandle:
     version: int
 
     def reattach(self) -> InMemoryStore:
-        """Rebuild the store in this process, stamped at the parent version.
-
-        ``replace_all`` (rather than per-row inserts) so the relation's
-        mutation counter lands exactly on the parent's stamp and
-        version-stamped caches compare against the parent's version
-        stream, not the reload's.
-        """
+        """Rebuild the store in this process, stamped at the parent version
+        so version-stamped caches compare against the parent's version
+        stream, not the reload's."""
         store = InMemoryStore.from_rows(self.schema)
-        store.reset_rows(self.rows, self.version)
+        store.catch_up(self.version, rows=self.rows)
         return store
 
 
@@ -1412,7 +1390,7 @@ class SqliteStoreHandle:
         """Open a fresh connection to the shared database file.
 
         The reattached store starts at the parent's version stamp;
-        :meth:`SqliteStore.sync_version` moves it when the parent mutates
+        :meth:`SqliteStore.catch_up` moves it when the parent mutates
         the file mid-batch.  A handle whose database file has vanished
         raises :class:`StoreUnavailableError` — opening the path anyway
         would silently hand the worker an *empty* master and turn every
@@ -1429,8 +1407,7 @@ class SqliteStoreHandle:
             self.schema, path=self.path,
             probe_cache_size=self.probe_cache_size,
         )
-        store._version = self.version
-        store._journal.reset(self.version)
+        store.catch_up(self.version)
         return store
 
 

@@ -614,15 +614,13 @@ def _process_worker_chunk(task: tuple) -> dict:
     """Monitor one chunk in this worker; returns sessions + stats deltas.
 
     ``task`` is ``(seq, pairs, version, snapshot, deltas)``.  *version* is
-    the parent store's version when the chunk was dispatched; when it
-    differs from this worker's store the master mutated mid-batch, and the
-    worker resyncs before monitoring — preferably by adopting the shipped
-    journal *deltas* (which keeps the worker store's own journal
-    contiguous, so the engine resync right after can purge per-key),
-    falling back to the shipped row *snapshot* for in-memory masters or
-    the shared database file for sqlite (*snapshot* is None) — so a
-    mid-batch master update still invalidates every worker's
-    version-stamped caches.
+    the parent store's version when the chunk was dispatched; when it is
+    newer than this worker's store the master mutated mid-batch, and the
+    worker catches up before monitoring (:meth:`MasterStore.catch_up`:
+    the shipped journal *deltas* when they bridge the gap, so the engine
+    resync right after can purge per key, else the row *snapshot* of an
+    in-memory master, else the shared file or server) — so a mid-batch
+    master update still invalidates every worker's version-stamped caches.
     """
     seq, pairs, version, snapshot, deltas = task
     engine = _WORKER_ENGINE
@@ -634,11 +632,7 @@ def _process_worker_chunk(task: tuple) -> dict:
     # dispatch versions arrive monotonically; the guard is belt-and-braces
     # against ever "syncing" a worker backwards.
     if version > store.version:
-        if not (deltas is not None and store.adopt_deltas(deltas, version)):
-            if snapshot is not None:
-                store.reset_rows(snapshot, version)
-            else:
-                store.sync_version(version)
+        store.catch_up(version, deltas, snapshot)
         engine.resync_master()
     warm_s = 0.0
     if store.supports_batched_probes:

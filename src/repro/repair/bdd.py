@@ -73,7 +73,7 @@ class SuggestionCache:
         self.max_chain = max_chain
         self.stats = CacheStats()
         self._root: _Node = None
-        self._pattern_cache: dict = {}
+        self.pattern_cache: dict = {}
 
     # -- per-tuple traversal -------------------------------------------------
 
@@ -92,7 +92,7 @@ class SuggestionCache:
         keep working — their next step simply misses and recomputes.
         """
         self._root = None
-        self._pattern_cache.clear()
+        self.pattern_cache.clear()
         self.stats.invalidations += 1
 
     # -- validity check ------------------------------------------------------
@@ -108,7 +108,7 @@ class SuggestionCache:
         # premise_attrs, which the φ⁺ refinement leaves unchanged.
         applicable = [
             rule for rule, _ in surviving_rules(
-                self.rules, self.master, row, z, self._pattern_cache
+                self.rules, self.master, row, z, self.pattern_cache
             )
         ]
         fixable = {rule.rhs for rule in applicable}
@@ -125,7 +125,7 @@ class SuggestionCache:
             self.schema,
             row,
             z,
-            pattern_cache=self._pattern_cache,
+            pattern_cache=self.pattern_cache,
             validate_patterns=self.validate_patterns,
         )
 

@@ -208,7 +208,6 @@ class CertainFix:
         self.suggest_validate_patterns = suggest_validate_patterns
         self._regions = regions
         self._initial_rank = initial_region_rank
-        self._pattern_cache: dict = {}
         self._cache = (
             SuggestionCache(
                 self.rules, self.store, schema,
@@ -216,6 +215,10 @@ class CertainFix:
             )
             if use_bdd
             else None
+        )
+        # One pattern-probe cache per engine: the BDD's when it is on.
+        self._pattern_cache: dict = (
+            self._cache.pattern_cache if self._cache is not None else {}
         )
         self._suggest_memo: dict = {} if memoize_suggest else None
         self._suggest_stats = CacheStats() if memoize_suggest else None
@@ -348,8 +351,8 @@ class CertainFix:
         """Purge per-key for a journal delta batch; True on success.
 
         Regions survive iff the :class:`RegionGuard` proves a rebuild
-        would reproduce them; per-rule pattern caches (the engine's and
-        the BDD's) are patched row by row; the suggest memo is cleared
+        would reproduce them; the per-rule pattern cache (shared with the
+        BDD) is patched row by row; the suggest memo is cleared
         (suggestions embed witness sweeps — retention would not be
         bit-identical); BDD nodes are retained because ``_valid_for``
         revalidates every cached suggestion against the live master.
@@ -364,10 +367,6 @@ class CertainFix:
                 self._regions = None
                 self._region_guard = None
         patch_pattern_cache(self._pattern_cache, self.rules, deltas, rows)
-        if self._cache is not None:
-            patch_pattern_cache(
-                self._cache._pattern_cache, self.rules, deltas, rows
-            )
         if self._suggest_memo is not None:
             self._suggest_memo.clear()
         return True

@@ -32,9 +32,9 @@ consumer-side machinery that turns those deltas into per-key purges:
   re-verified by chasing exactly the new value combinations.  Anything it
   cannot prove falls back to a rebuild — the guard only ever skips work,
   never correctness.
-* :func:`row_supports_pattern` — the per-row body of the pattern-probe
-  sweep (``_pattern_holds_on_master``), used to patch cached rule
-  eligibility per delta instead of re-sweeping the master.
+* :func:`row_supports_pattern` — Suggest's pattern-only condition (c)
+  for one master row: Suggest sweeps it over the master, and the
+  pattern-cache patcher applies it per delta instead of re-sweeping.
 
 Everything here is advisory: every consumer treats "cannot prove" as
 "fall back to the full drop", so the delta path yields fixes bit-identical
@@ -242,10 +242,11 @@ class FootprintIndex:
 def row_supports_pattern(rule, row: Row) -> bool:
     """Whether master row *row* witnesses *rule*'s pattern part.
 
-    The per-row body of ``_pattern_holds_on_master`` (condition (c) with
-    an empty validated key): with no pattern checks and no master guard
-    any row is a witness (the sweep degenerates to ``len(master) > 0``).
-    Used to patch per-rule pattern caches delta by delta.
+    Condition (c) of Suggest with an empty validated key, for one row:
+    some master tuple matches the pattern part ``tp[Xp ∩ X]`` through the
+    rule's correspondence and passes its master guard (with neither, any
+    row is a witness).  Suggest sweeps it over the master; the pattern
+    caches are patched with it delta by delta.
     """
     checks = [
         (rule.master_attr_of(attr), rule.pattern[attr])
@@ -262,7 +263,7 @@ def row_supports_pattern(rule, row: Row) -> bool:
 def patch_pattern_cache(cache: dict, rules: Sequence, deltas, rows) -> None:
     """Update a ``{rule.name: holds}`` pattern cache for a delta batch.
 
-    Mirrors what a fresh ``_pattern_holds_on_master`` sweep would answer:
+    Mirrors what a fresh :func:`row_supports_pattern` sweep would answer:
     an inserted witness flips a cached False to True; deleting a witness
     of a cached True drops the entry (the remaining rows may or may not
     still contain one — recompute lazily); every other combination leaves

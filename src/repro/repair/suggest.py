@@ -29,9 +29,10 @@ from repro.analysis.zproblems import (
 from repro.core.patterns import ANY, Const, PatternTuple
 from repro.core.regions import Region
 from repro.engine.schema import RelationSchema
-from repro.engine.store import MasterStore, as_master_store
+from repro.engine.store import as_master_store
 from repro.engine.tuples import Row
 from repro.engine.values import UNKNOWN
+from repro.repair.invalidation import row_supports_pattern
 
 
 @dataclass
@@ -46,24 +47,6 @@ class Suggestion:
 
     def __bool__(self) -> bool:
         return bool(self.attrs)
-
-
-def _pattern_holds_on_master(rule, master: MasterStore) -> bool:
-    """Condition (c) with an empty validated key: some master tuple matches
-    the pattern part ``tp[Xp ∩ X]`` through the rule's correspondence."""
-    checks = [
-        (rule.master_attr_of(attr), rule.pattern[attr])
-        for attr in rule.pattern.attrs
-        if attr in rule.lhs and not rule.pattern[attr].is_wildcard
-    ]
-    if not checks and not len(rule.master_guard):
-        return len(master) > 0
-    for tm in master:
-        if not rule.master_guard.matches(tm):
-            continue
-        if all(condition.matches(tm[column]) for column, condition in checks):
-            return True
-    return False
 
 
 def surviving_rules(
@@ -125,7 +108,7 @@ def surviving_rules(
             if pattern_cache is not None and rule.name in pattern_cache:
                 holds = pattern_cache[rule.name]
             else:
-                holds = _pattern_holds_on_master(rule, master)
+                holds = any(row_supports_pattern(rule, tm) for tm in master)
                 if pattern_cache is not None:
                     pattern_cache[rule.name] = holds
             if not holds:

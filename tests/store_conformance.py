@@ -24,15 +24,18 @@ This module captures that contract once, as a suite any backend inherits:
   ``probe`` with first witnesses, follows every mutation under a cached
   key, drops its cache on a journal gap, and never caches a key with no
   master rows;
+* the store cache — a probe line, an image or an active-value set that a
+  mutated row does not touch is served without a refetch, one it touches
+  is refetched with the new answer, and a journal gap drops all of them;
 * process protocol — ``detach()``/``reattach()`` round-trips rows and the
-  version stamp, and a parent mutation reaches the clone through the
-  backend's resync hook (snapshot or incremental via ``adopt_deltas``).
+  version stamp, and a parent mutation reaches the clone through
+  ``catch_up`` (journal deltas, a row snapshot, or shared storage).
 
 Usage: subclass :class:`StoreConformance` in a ``test_*.py`` module and
 provide the ``store`` fixture (a fresh backend loaded with
 ``conformance_rows(self.schema())``).  Backends with extra setup override
-the hooks (``resync``, ``supports_detach``).  A fourth backend gets ~20
-contract tests for free::
+the hooks (``resync``, ``supports_detach``, ``caches_active_values``).  A
+fourth backend gets ~40 contract tests for free::
 
     class TestMyStoreConformance(StoreConformance):
         @pytest.fixture
@@ -75,6 +78,10 @@ class StoreConformance:
     #: databases); the detach tests then assert the refusal instead.
     supports_detach = True
 
+    #: Set False for backends that read active values afresh on every
+    #: call; the cache test then checks their answers, not their reads.
+    caches_active_values = True
+
     #: How many mutations the backend's delta journal retains; the
     #: window-overflow test mutates one past this to force the ``None``
     #: (full-drop) fallback.  Override when a backend uses another bound.
@@ -97,11 +104,11 @@ class StoreConformance:
     def resync(self, parent: MasterStore, clone: MasterStore) -> None:
         """Propagate *parent*'s mutations to a reattached *clone*.
 
-        Backends sharing storage across processes adopt the stamp
-        (``sync_version``); snapshot backends ship the rows.  Override to
-        match; the default covers the shared-storage shape.
+        Backends sharing storage across processes adopt the stamp;
+        snapshot backends ship the rows as well.
         """
-        clone.sync_version(parent.version)
+        rows = None if parent.shares_storage_across_processes else tuple(parent)
+        clone.catch_up(parent.version, rows=rows)
 
     def cleanup_clone(self, clone: MasterStore) -> None:
         """Release a reattached clone (override when clones hold handles)."""
@@ -134,7 +141,6 @@ class StoreConformance:
         rows = self.rows()
         assert len(store) == len(rows)
         assert list(store) == rows
-        assert store.rows == rows  # Relation-compatible materialized copy
 
     def test_iter_from_pages_in_insertion_order(self, store):
         """The remote ``/rows`` paging primitive: iter_from(k) must equal
@@ -411,27 +417,140 @@ class StoreConformance:
         assert tail[0].values == (f"w{self.delta_window}", "w",
                                   self.delta_window)
 
-    def test_reattached_clone_adopts_parent_deltas(self, store):
-        """The incremental resync path: a clone lagging by journaled
-        mutations lands on the parent's stamp and contents through
-        ``adopt_deltas`` alone (or refuses with False, never corrupts)."""
+    def test_reattached_clone_catches_up(self, store):
+        """The one resync entry point: a clone lagging by journaled
+        mutations lands on the parent's stamp and contents from the
+        parent's deltas, keeping its own journal contiguous; without
+        deltas it catches up from a row snapshot or the shared storage;
+        and it never moves backwards."""
         if not self.supports_detach:
             pytest.skip("backend refuses detach()")
         schema = self.schema()
         handle = store.detach()
         clone = handle.reattach()
         try:
+            v0 = clone.version
             late = Row(schema, ("late", "z", 99))
             store.insert(late)
             assert store.delete(self.rows()[0])
-            deltas = store.deltas_since(clone.version)
+            deltas = store.deltas_since(v0)
             assert deltas is not None and len(deltas) == 2
-            assert clone.adopt_deltas(deltas, store.version)
+            clone.catch_up(store.version, deltas)
             assert clone.version == store.version
             assert list(clone) == list(store)
             assert clone.probe(("k",), ("late",)) == (late,)
+            assert [d.values for d in clone.deltas_since(v0)] == [
+                d.values for d in deltas
+            ]
+            extra = Row(schema, ("e", "w", 5))
+            store.insert(extra)
+            self.resync(store, clone)  # no deltas: snapshot or shared
+            assert clone.version == store.version
+            assert list(clone) == list(store)
+            assert clone.probe(("k",), ("e",)) == (extra,)
+            clone.catch_up(store.version - 1, rows=())
+            assert clone.version == store.version
+            assert list(clone) == list(store)
         finally:
             self.cleanup_clone(clone)
+
+    # -- the store cache -----------------------------------------------------
+
+    @staticmethod
+    def _count_reads(store) -> dict:
+        """Count the backend's raw probe and active-value reads."""
+        calls = {"_read_probe": 0, "_read_active": 0}
+        for name in calls:
+            real = getattr(store, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            setattr(store, name, counted)
+        return calls
+
+    def test_cache_purges_only_what_a_delta_touches(self, store):
+        """After an insert, a delete and an update, a cached probe line,
+        image and active-value set the changed row does not touch is
+        served without a refetch, one it touches is refetched with the
+        new answer, and a journal gap drops all three."""
+        schema = self.schema()
+        rows = self.rows()
+        lines = store.probe_cache_info()["maxsize"] > 0
+        reads = self._count_reads(store)
+
+        def served(read, expected, fetched, fetched_actives=0):
+            """*read* answers *expected*, refetching iff *fetched*."""
+            before = dict(reads)
+            images = store.image_cache_info()["misses"]
+            assert read() == expected
+            if read.__name__ == "image":
+                misses = store.image_cache_info()["misses"] - images
+                assert misses == fetched
+            elif read.__name__ == "probe" and lines:
+                probes = reads["_read_probe"] - before["_read_probe"]
+                assert probes == fetched
+            if self.caches_active_values:
+                actives = reads["_read_active"] - before["_read_active"]
+                assert actives == fetched_actives
+
+        def probe(key):
+            def probe():
+                return store.probe(("k",), key)
+            return probe
+
+        def image(key):
+            def image():
+                return store.image(("k",), key, "v")
+            return image
+
+        def active():
+            return store.active_values("v")
+
+        # warm: probe lines for "a" and "d" (empty), images for "a" and
+        # "c", the active set of "v"
+        served(probe(("a",)), (rows[0], rows[2]), 1, 0)
+        served(probe(("d",)), (), 1, 0)
+        served(image(("a",)), (("x", rows[0]),), 1, 0)
+        served(image(("c",)), ((NULL, rows[3]),), 1, 0)
+        served(active, {"x", "y", NULL}, 0, 1)
+
+        # insert under "d": "a" and "c" stay cached, an insert only adds
+        # to the active sets
+        new_d = Row(schema, ("d", "z", 9))
+        store.insert(new_d)
+        served(probe(("a",)), (rows[0], rows[2]), 0, 0)
+        served(image(("a",)), (("x", rows[0]),), 0, 0)
+        served(image(("c",)), ((NULL, rows[3]),), 0, 0)
+        served(active, {"x", "y", "z", NULL}, 0, 0)
+        served(probe(("d",)), (new_d,), 1, 0)
+
+        # delete under "a": "c" and "d" stay cached, the active sets drop
+        assert store.delete(rows[0])
+        served(probe(("d",)), (new_d,), 0, 0)
+        served(image(("c",)), ((NULL, rows[3]),), 0, 0)
+        served(probe(("a",)), (rows[2],), 1, 0)
+        served(image(("a",)), (("x", rows[2]),), 1, 0)
+        served(active, {"x", "y", "z", NULL}, 0, 1)
+
+        # update under "a": "c" and "d" stay cached
+        moved = Row(schema, ("a", "x2", 3))
+        assert store.update(rows[2], moved)
+        served(probe(("d",)), (new_d,), 0, 0)
+        served(image(("c",)), ((NULL, rows[3]),), 0, 0)
+        served(probe(("a",)), (moved,), 1, 0)
+        served(image(("a",)), (("x2", moved),), 1, 0)
+        served(active, {"x2", "y", "z", NULL}, 0, 1)
+
+        # a journal gap drops everything
+        drops = store.image_cache_info()["full_drops"]
+        for i in range(self.delta_window + 1):
+            store.insert(Row(schema, (f"w{i}", "w", i)))
+        served(probe(("d",)), (new_d,), 1, 0)
+        served(image(("c",)), ((NULL, rows[3]),), 1, 0)
+        served(active, {"x2", "y", "z", "w", NULL}, 0, 1)
+        assert store.image_cache_info()["full_drops"] == drops + 1
 
     # -- rule images ---------------------------------------------------------
 
@@ -533,6 +652,37 @@ class StoreConformance:
         # rows that all fail the guard still bound the table: cached empty
         assert store.image(("k",), ("b",), "v", PatternTuple({"n": 9})) == ()
         assert store.image_cache_info()["keys"] == keys + 1
+
+    def test_read_before_a_purge_never_lands_after_it(self, store):
+        """The thread fan-out race, made deterministic: a reader fetches
+        at version N; the master mutates and another reader syncs the
+        cache before the first one stores its answer.  The stamp check
+        must drop the stale write, so the next read sees the new row."""
+        schema = self.schema()
+        rows = self.rows()
+        late = [Row(schema, ("a", "late", 7)), Row(schema, ("a", "later", 8))]
+
+        def race(name):
+            real = getattr(store, name)
+
+            def racing(*args):
+                found = real(*args)
+                delattr(store, name)
+                store.insert(late.pop(0))
+                store.probe(("k",), ("b",))  # the other reader's sync
+                return found
+
+            setattr(store, name, racing)
+
+        race("_read_probe")
+        assert store.probe(("k",), ("a",)) == (rows[0], rows[2])
+        assert store.probe(("k",), ("a",)) == (
+            rows[0], rows[2], Row(schema, ("a", "late", 7))
+        )
+        if self.caches_active_values:
+            race("_read_active")
+            assert "later" not in store.active_values("v")
+            assert "later" in store.active_values("v")
 
     # -- process protocol ----------------------------------------------------
 

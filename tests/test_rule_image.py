@@ -207,7 +207,7 @@ def test_image_cache_stays_exact_under_threaded_mutation():
         sys.setswitchinterval(interval)
     assert not errors
     store.image(("k",), ("k0",), "v")  # sync the cache to the last write
-    cached = store._images.tables
+    cached = store._cache.images
     assert cached
     for (attrs, column, guard), table in cached.items():
         for key, pairs in table.items():

@@ -1,5 +1,9 @@
 """MasterStore backends: API, versioning, the sqlite codec and LRU cache."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.engine.index import HashIndex
@@ -73,7 +77,6 @@ def test_store_basic_reads(store, schema, rows):
     assert store.schema.attributes == schema.attributes
     assert len(store) == 4
     assert list(store) == rows  # insertion order
-    assert store.rows == rows   # Relation-compatible copy
     assert store.active_values("k") == {"a", "b", "c"}
     assert store.active_values("v") == {"x", "y", NULL}
 
@@ -134,7 +137,7 @@ def test_update_moves_row_to_iteration_end(store, schema, rows):
 
 def test_ensure_index_then_probe(store):
     store.ensure_index(("v", "n"))
-    assert store.probe(("v", "n"), ("x", 3)) == (store.rows[2],)
+    assert store.probe(("v", "n"), ("x", 3)) == (list(store)[2],)
 
 
 # -- InMemoryStore specifics --------------------------------------------------
@@ -257,6 +260,75 @@ def test_sqlite_probe_cache_lru_eviction(schema, rows):
     assert store.probe_cache_info()["size"] == 2
     store.probe(("k",), ("a",))
     assert store.probe_cache_info()["misses"] == 4
+
+
+def test_sqlite_cache_stays_exact_under_threaded_mutation():
+    """Stress: four readers fill and hit probe lines, images, active sets
+    and the row count while a writer inserts and deletes under the same
+    keys, with a shortened switch interval.  Afterwards every cached entry
+    must equal a fresh read of the table — a stale write or a missed
+    purge breaks it."""
+    schema = RelationSchema("S", ["k", "v"])
+    store = SqliteStore(schema, [
+        Row(schema, (f"k{i % 4}", f"v{i % 3}")) for i in range(12)
+    ], probe_cache_size=6)
+    keys = [f"k{i}" for i in range(5)]
+    done = threading.Event()
+    errors = []
+
+    def reader(seed):
+        rng = random.Random(seed)
+        try:
+            while not done.is_set():
+                key = rng.choice(keys)
+                store.probe(("k",), (key,))
+                store.probe_many(("k", "v"), [(key, "v0"), (key, "v1")])
+                store.image(("k",), (key,), "v")
+                store.active_values(rng.choice(["k", "v"]))
+                len(store)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    def writer():
+        rng = random.Random(0)
+        inserted = []
+        for _ in range(300):
+            if inserted and rng.random() < 0.4:
+                store.delete(inserted.pop(rng.randrange(len(inserted))))
+            else:
+                row = Row(schema, (rng.choice(keys), f"v{rng.randrange(4)}"))
+                store.insert(row)
+                inserted.append(row)
+        done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader, args=(seed,))
+                   for seed in range(4)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    cache = store._cache
+    cache.refresh(store)  # apply the last writes' deltas
+    for (attrs, key), rows in cache.lines.items():
+        assert rows == store._read_probe(attrs, key), (attrs, key)
+    for (attrs, column, _guard), table in cache.images.items():
+        for key, pairs in table.items():
+            fresh = {}
+            for tm in store._read_probe(attrs, key):
+                fresh.setdefault(tm[column], tm)
+            assert pairs == tuple(fresh.items()), (attrs, key)
+    for attr, values in cache.actives.items():
+        assert values == store._read_active(attr), attr
+    assert cache.length in (None, store._read_len())
+    store.close()
 
 
 def test_sqlite_unstorable_probe_key_matches_nothing(schema, rows):
@@ -388,8 +460,8 @@ def test_memory_detach_reattach_preserves_rows_and_version(schema, rows):
     # reattached copies are by value: parent mutations stay invisible
     store.insert(Row(schema, ("e", "w", 10)))
     assert len(clone) == len(store) - 1
-    # reset_rows is the per-chunk resync: contents and stamp jump together
-    clone.reset_rows(tuple(store), store.version)
+    # a row snapshot catches the copy up: contents and stamp jump together
+    clone.catch_up(store.version, rows=tuple(store))
     assert list(clone) == list(store)
     assert clone.version == store.version
 
@@ -402,9 +474,9 @@ def test_sqlite_detach_reattach_shares_file(tmp_path, schema, rows):
     clone = handle.reattach()
     assert list(clone) == rows
     assert clone.version == store.version
-    # parent writes reach the clone through the file + sync_version
+    # parent writes reach the clone through the file + catch_up
     store.insert(Row(schema, ("d", "z", 9)))
-    clone.sync_version(store.version)
+    clone.catch_up(store.version)
     assert len(clone) == 5
     assert clone.probe(("k",), ("d",)) == (Row(schema, ("d", "z", 9)),)
     clone.close()

@@ -19,16 +19,12 @@ from store_conformance import StoreConformance, conformance_rows
 class TestInMemoryStoreConformance(StoreConformance):
     """The paper's setting: Relation + hash indexes in RAM."""
 
+    caches_active_values = False
+
     @pytest.fixture
     def store(self):
         schema = self.schema()
         return InMemoryStore(Relation(schema, conformance_rows(schema)))
-
-    def resync(self, parent, clone):
-        # Snapshot backend: reattached copies are by value, so the resync
-        # ships the rows along with the stamp (the batch engine's
-        # per-chunk snapshot protocol).
-        clone.reset_rows(tuple(parent), parent.version)
 
     def bypass_journal(self, store, row):
         # A direct mutation of the wrapped relation bumps the version
