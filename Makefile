@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test loc conformance smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
+.PHONY: test loc conformance invalidation smoke metrics-smoke bench bench-store bench-invalidation example lint lint-rules certify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -80,6 +80,15 @@ certify:
 # dedicated step).
 conformance:
 	$(PYTHON) -m pytest tests/test_store_conformance.py -q
+
+# The engine-invalidation tests: the delta-vs-full-drop fuzz, the
+# stale-memo and region-build races against a reconcile, the pattern
+# cache keyed by rule identity, and the memo write-and-purge rule.  A subset of `test`, named so a
+# cache regression is attributable on its own line (CI runs it as a
+# dedicated step).
+invalidation:
+	$(PYTHON) -m pytest tests/test_store_equivalence.py -q -k \
+		"delta_invalidation_matches_full_drop or stale_memo or region_build_racing or pattern_cache_keeps or write_and_purge"
 
 # Quick perf smoke: seeds/refreshes BENCH_batch.json at reduced scale and
 # fails if the batch engine loses its >=2x margin over naive fix_stream.

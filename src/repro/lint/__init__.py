@@ -93,13 +93,12 @@ I208    region-extension          Minimal assured-attribute extension that
                                   closure-level when over budget.
 ======  ========================  =========================================
 
-Master-aware results are cached per store keyed on ``(rule fingerprint,
-store version, budgets, region)``; see :mod:`repro.lint.runner`.
-Certification results additionally survive master mutations through the
-delta journal when no delta hits their recorded probe footprints
-(:func:`repro.lint.certify.certification_cache_info`).  Fix-its
-(``remove_rule`` from W103/W104/W108, ``extend_region`` from I208) are
-applied by ``repro lint --fix`` via :mod:`repro.lint.fixit`.
+Every :func:`run_lint` call analyzes afresh: no caller lints one store
+twice, so nothing is cached across calls (one certification is shared by
+E205/W206/I208 within a call).  Fix-its (``remove_rule`` from
+W103/W104/W108, ``extend_region`` from I208) are applied by
+``repro lint --fix`` via :mod:`repro.lint.fixit`; its final report is the
+converged round's lint.
 """
 
 from repro.lint.diagnostics import (
@@ -123,14 +122,12 @@ from repro.lint import master_aware, structural  # noqa: F401  (registration)
 from repro.lint import certify  # noqa: F401  (registration)
 from repro.lint.certify import (
     Certification,
-    certification_cache_info,
     certification_for,
 )
 from repro.lint.fixit import FixitResult, apply_fixits
 from repro.lint.runner import (
     PREFLIGHT_MODES,
     preflight,
-    rules_fingerprint,
     run_lint,
     sarif_rule_metadata,
     structural_report,
@@ -147,13 +144,11 @@ __all__ = [
     "MASTER",
     "registered_passes",
     "Certification",
-    "certification_cache_info",
     "certification_for",
     "FixitResult",
     "apply_fixits",
     "PREFLIGHT_MODES",
     "preflight",
-    "rules_fingerprint",
     "run_lint",
     "sarif_rule_metadata",
     "structural_report",

@@ -39,24 +39,16 @@ silent.  Certification is skipped — without a degradation note — only
 when another pass already owns the finding (empty master: W201; rules
 naming unknown attributes: E101).
 
-**Delta-aware caching.**  Results are cached per store on ``(rules
-fingerprint, region, budgets)``.  When the store version moves, the PR 8
-delta journal (``deltas_since``) decides retention instead of a blind
-drop: the whole certification is kept iff no delta row projects onto any
-recorded probe footprint *and* no insert introduces a value absent from
-the active-value snapshot of a domain-feeding master column.  Soundness:
-untouched probes make every recorded chase replay bit-identically, so
-witnesses (evidence) remain valid; clean verdicts additionally need the
-instantiation space not to grow, which is exactly what the novel-value
-check rules out (deletes only shrink domains, and removed combinations
-cannot create new conflicts).  Computed regions are never retained — their
-tableaux are projected off master rows, which footprints do not witness.
-:func:`certification_cache_info` exposes the counters.
+**One certification per lint run, none across runs.**  The three passes
+share the certification through ``LintContext.scratch``; nothing outlives
+the :func:`~repro.lint.runner.run_lint` call, since no caller certifies
+one store twice.  A whole uncached lint of the default 1,200-row HOSP
+and DBLP masters takes about 0.5 s and 1.5 s (2-core x86-64 VM,
+CPython 3.11).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,8 +68,6 @@ from repro.core.regions import Region
 from repro.io import region_to_dict
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.registry import MASTER, LintContext, lint_pass
-from repro.lint.runner import _budget_key, _region_key, rules_fingerprint
-from repro.repair.invalidation import RecordingStore
 from repro.repair.region_search import comp_c_region
 
 #: The certification pass codes, in registration order.
@@ -88,10 +78,9 @@ CERT_CODES = ("E205", "W206", "I208")
 class Certification:
     """One shared certification of ``(rules, region, master)``.
 
-    Built once per lint run (``LintContext.scratch``) and cached per
-    store; the E205/W206/I208 passes (and the demoted W202) all read it.
-    ``findings`` holds the prebuilt diagnostics per pass code, so cache
-    hits and delta-retained entries return identical objects.
+    Built once per lint run (``LintContext.scratch``); the E205/W206/I208
+    passes (and the demoted W202) all read it.  ``findings`` holds the
+    prebuilt diagnostics per pass code.
     """
 
     region: Optional[Region] = None
@@ -103,11 +92,7 @@ class Certification:
     extension: Optional[tuple] = None
     extension_exact: bool = True
     extension_checks: int = 0
-    footprints: frozenset = frozenset()
-    active_snapshot: Dict[str, frozenset] = field(default_factory=dict)
     domain_stats: Dict[str, int] = field(default_factory=dict)
-    version: Optional[int] = None
-    retainable: bool = False
     findings: Dict[str, Tuple[Diagnostic, ...]] = field(default_factory=dict)
 
     @property
@@ -119,9 +104,6 @@ class Certification:
             and not self.degraded
             and self.skipped_reason is None
         )
-
-    def finding_count(self) -> int:
-        return sum(len(found) for found in self.findings.values())
 
 
 # -- the certification computation -------------------------------------------
@@ -153,17 +135,6 @@ def _canonical_region(schema, rules: Sequence) -> Region:
     )
     tableau = PatternTableau(base, [PatternTuple({a: ANY for a in base})])
     return Region(base, tableau)
-
-
-def _domain_columns(rules: Sequence) -> set:
-    """Master columns feeding some attribute's active domain (mirrors
-    ``attribute_active_domain``'s column collection)."""
-    columns = set()
-    for rule in rules:
-        for attr in rule.lhs:
-            columns.add(rule.master_attr_of(attr))
-        columns.add(rule.rhs_m)
-    return columns
 
 
 def _minimize_witness(
@@ -467,7 +438,7 @@ def _compute(ctx: LintContext) -> Certification:
     store = ctx.store
     rules = list(ctx.rules)
     schema = ctx.schema
-    cert = Certification(version=store.version)
+    cert = Certification()
     cert.findings = {code: () for code in CERT_CODES}
     if not rules:
         cert.skipped_reason = "no rules to certify"
@@ -499,15 +470,13 @@ def _compute(ctx: LintContext) -> Certification:
         )
         return cert
 
-    recording = RecordingStore(store)
-
     # Region resolution: declared > computed (deployment's view) > canonical.
     region = ctx.region
     source = "declared" if region is not None else None
     if region is None:
         try:
             candidates = comp_c_region(
-                rules, recording, schema,
+                rules, store, schema,
                 max_instantiations=ctx.max_instantiations,
             )
         except AnalysisExplosion:
@@ -518,11 +487,11 @@ def _compute(ctx: LintContext) -> Certification:
             region, source = _canonical_region(schema, rules), "canonical"
     cert.region, cert.region_source = region, source
 
-    domains = ActiveDomainCache(rules, recording)
+    domains = ActiveDomainCache(rules, store)
     report: Optional[RegionReport] = None
     try:
         report = check_region(
-            rules, recording, region, schema, ctx.max_instantiations,
+            rules, store, region, schema, ctx.max_instantiations,
             domains,
         )
     except AnalysisExplosion as exc:
@@ -534,7 +503,7 @@ def _compute(ctx: LintContext) -> Certification:
     # I208: exact search when the exact check ran, closure fallback else.
     if report is not None and not report.certain:
         extension, checks_spent, incomplete = _search_extension(
-            ctx, rules, recording, region, schema, domains
+            ctx, rules, store, region, schema, domains
         )
         cert.extension_checks = checks_spent
         if extension is not None:
@@ -552,7 +521,7 @@ def _compute(ctx: LintContext) -> Certification:
         )
 
     cert.findings["E205"] = _e205_findings(
-        ctx, rules, recording, region, source, report, cert.degraded_reason
+        ctx, rules, store, region, source, report, cert.degraded_reason
     )
     cert.findings["W206"] = _w206_findings(
         rules, region, source, report, schema
@@ -562,146 +531,23 @@ def _compute(ctx: LintContext) -> Certification:
         cert.extension_checks,
     )
 
-    # Freeze the retention artifacts only after every probing step (witness
-    # minimization included) has recorded its footprints.
-    cert.footprints = frozenset(recording.footprints)
-    cert.active_snapshot = {
-        column: frozenset(store.active_values(column))
-        for column in sorted(_domain_columns(rules))
-        if column in store.schema
-    }
     cert.domain_stats = (
         dict(report.domain_stats) if report is not None else domains.stats()
     )
-    cert.retainable = (
-        not cert.degraded
-        and cert.extension_exact
-        and report is not None
-        and source != "computed"
-    )
-    return cert
-
-
-# -- the delta-aware cache ----------------------------------------------------
-
-#: Per-store cache: ``store -> {"entries": {key: [version, Certification]},
-#: "counters": {...}}`` — a WeakKeyDictionary so it dies with the store.
-_CERT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-_COUNTER_KEYS = (
-    "hits", "misses", "delta_kept", "delta_kept_findings", "recomputes",
-    "full_drops",
-)
-
-
-def _store_slot(store) -> Optional[dict]:
-    try:
-        return _CERT_CACHE.setdefault(
-            store,
-            {"entries": {}, "counters": {k: 0 for k in _COUNTER_KEYS}},
-        )
-    except TypeError:  # store not weakref-able: run uncached
-        return None
-
-
-def certification_cache_info(store) -> Dict[str, int]:
-    """The certification cache counters for *store* (zeros when unseen).
-
-    ``delta_kept`` / ``delta_kept_findings`` count version moves resolved
-    by delta-journal retention — the whole point of the PR 8 journal:
-    findings survive master mutations their probe footprints never saw.
-    """
-    try:
-        slot = _CERT_CACHE.get(store)
-    except TypeError:
-        slot = None
-    if slot is None:
-        return {k: 0 for k in _COUNTER_KEYS}
-    return dict(slot["counters"])
-
-
-def _retained(cert: Certification, deltas, master_schema) -> bool:
-    """Whether *cert* provably equals a fresh recompute after *deltas*.
-
-    Two conditions (see the module docstring for the soundness argument):
-    no delta row projects onto a recorded probe footprint, and no insert
-    carries a value new to a domain-feeding column's snapshot.
-    """
-    if not cert.retainable:
-        return False
-    probed: Dict[tuple, set] = {}
-    for attrs, key in cert.footprints:
-        probed.setdefault(attrs, set()).add(key)
-    positions: Dict[tuple, list] = {}
-    snapshot_positions = {
-        column: master_schema.index_of(column)
-        for column in cert.active_snapshot
-    }
-    for delta in deltas:
-        values = delta.values
-        for attrs, keys in probed.items():
-            pos = positions.get(attrs)
-            if pos is None:
-                pos = positions[attrs] = [
-                    master_schema.index_of(a) for a in attrs
-                ]
-            if tuple(values[p] for p in pos) in keys:
-                return False  # a recorded probe could now answer differently
-        if delta.op == "insert":
-            for column, p in snapshot_positions.items():
-                if values[p] not in cert.active_snapshot[column]:
-                    return False  # novel value grows the instantiation space
-    return True
-
-
-def _cached_certification(ctx: LintContext) -> Certification:
-    store = ctx.store
-    slot = _store_slot(store)
-    if slot is None:
-        return _compute(ctx)
-    key = (rules_fingerprint(ctx.rules), _region_key(ctx), _budget_key(ctx))
-    counters = slot["counters"]
-    entry = slot["entries"].get(key)
-    if entry is not None:
-        version, cert = entry
-        if version == store.version:
-            counters["hits"] += 1
-            obs.inc("repro_lint_certify_cache_total", result="hit")
-            return cert
-        deltas = store.deltas_since(version)
-        if deltas is None:
-            counters["full_drops"] += 1
-            obs.inc("repro_lint_certify_cache_total", result="full_drop")
-        elif _retained(cert, deltas, store.schema):
-            counters["delta_kept"] += 1
-            counters["delta_kept_findings"] += cert.finding_count()
-            obs.inc("repro_lint_certify_cache_total", result="delta_kept")
-            entry[0] = store.version
-            cert.version = store.version
-            return cert
-        else:
-            counters["recomputes"] += 1
-            obs.inc("repro_lint_certify_cache_total", result="recompute")
-    else:
-        counters["misses"] += 1
-        obs.inc("repro_lint_certify_cache_total", result="miss")
-    cert = _compute(ctx)
-    slot["entries"][key] = [store.version, cert]
     return cert
 
 
 def certification_for(ctx: LintContext) -> Optional[Certification]:
     """The shared certification for this lint run (``None`` sans store).
 
-    Computed once per :class:`LintContext` (``scratch``) and cached per
-    store with delta-aware retention; E205/W206/I208 and the demoted W202
-    all consult the same object.
+    Computed once per :class:`LintContext` (``scratch``); E205/W206/I208
+    and the demoted W202 all consult the same object.
     """
     if ctx.store is None:
         return None
     cert = ctx.scratch.get("certification")
     if cert is None:
-        cert = _cached_certification(ctx)
+        cert = _compute(ctx)
         ctx.scratch["certification"] = cert
     return cert
 

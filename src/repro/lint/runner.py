@@ -1,4 +1,4 @@
-"""Running lint passes: entry points, preflight gates, and the cache.
+"""Running lint passes: entry points and preflight gates.
 
 :func:`run_lint` is the full analyzer (structural + master-aware);
 :func:`structural_report` is the cheap subset every preflight uses; and
@@ -6,26 +6,20 @@
 it raises :class:`~repro.lint.diagnostics.LintError` (``"error"``), prints
 to a stream (``"warn"``), or does nothing (``"off"``).
 
-Master-aware results are cached per store, keyed on ``(rule fingerprint,
-store version, analysis budgets)`` — the same version-stamp discipline as
-every other derived cache in the repo (regions, the Suggest⁺ BDD, probe
-memos): a master mutation moves ``store.version`` and the stale entry
-simply never matches again.  The cache is a ``WeakKeyDictionary`` on the
-store, so it dies with the store and never pins one alive.
+Nothing is cached across calls: every caller lints a given store once
+(the CLI once per process, ``repro lint --fix`` once per round and
+reporting its converged round's lint, the batch engine once per
+construction), so a per-store cache would only ever miss.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
-import weakref
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, List, Optional, Sequence, TextIO
 
 from repro import obs
 from repro.engine.schema import RelationSchema
 from repro.engine.store import MasterStore, as_master_store
-from repro.io import region_to_dict, rules_to_dicts
 from repro.lint.diagnostics import Diagnostic, LintError, LintReport
 from repro.lint.registry import (
     MASTER,
@@ -34,45 +28,6 @@ from repro.lint.registry import (
     LintPass,
     registered_passes,
 )
-
-#: Per-store cache of master-aware findings:
-#: ``store -> {(fingerprint, version, budgets): tuple[Diagnostic, ...]}``.
-_MASTER_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def rules_fingerprint(rules: Iterable) -> str:
-    """A stable content hash of a rule set (names included: diagnostics
-    mention rule names, so renaming must invalidate cached findings)."""
-    canonical = json.dumps(
-        rules_to_dicts(rules), sort_keys=True, default=repr
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _budget_key(ctx: LintContext) -> Tuple[int, ...]:
-    return (
-        ctx.max_master_rows,
-        ctx.max_witness_masters,
-        ctx.max_witness_pairs,
-        ctx.max_chase_states,
-        ctx.max_instantiations,
-        ctx.max_extension_size,
-        ctx.max_extension_checks,
-    )
-
-
-def _region_key(ctx: LintContext) -> Optional[str]:
-    """A stable fingerprint of the declared region (``None`` when absent).
-
-    Certification findings depend on the region being certified, so it
-    must participate in the master-cache key alongside the budgets.
-    """
-    if ctx.region is None:
-        return None
-    canonical = json.dumps(
-        region_to_dict(ctx.region), sort_keys=True, default=repr
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _run_family(
@@ -83,33 +38,6 @@ def _run_family(
         with obs.time_block("repro_lint_pass_seconds", code=lint.code):
             out.extend(lint.run(ctx))
     return out
-
-
-def _master_diagnostics(
-    passes: Sequence[LintPass], ctx: LintContext
-) -> List[Diagnostic]:
-    """Master-aware findings, cached on ``(fingerprint, version, budgets)``.
-
-    The pass selection participates in the key too: a run restricted to
-    one code must not poison the cache for a later full run.
-    """
-    store = ctx.store
-    key = (
-        rules_fingerprint(ctx.rules),
-        store.version,
-        _budget_key(ctx),
-        _region_key(ctx),
-        tuple(p.code for p in passes),
-    )
-    try:
-        per_store = _MASTER_CACHE.setdefault(store, {})
-    except TypeError:  # store not weakref-able: just run uncached
-        return _run_family(passes, ctx)
-    cached = per_store.get(key)
-    if cached is None:
-        cached = tuple(_run_family(passes, ctx))
-        per_store[key] = cached
-    return list(cached)
 
 
 def run_lint(
@@ -160,7 +88,7 @@ def run_lint(
         )
     diagnostics = _run_family(structural, ctx)
     if master_passes:
-        diagnostics.extend(_master_diagnostics(master_passes, ctx))
+        diagnostics.extend(_run_family(master_passes, ctx))
     return LintReport(
         diagnostics=diagnostics,
         rules_linted=len(ctx.rules),

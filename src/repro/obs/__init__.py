@@ -33,19 +33,18 @@ repro_sessions_total                  counter    completed=true|false        ses
 repro_rounds_total                    counter    —                           interaction rounds across all sessions
 repro_region_precompute_seconds       histogram  —                           ``CompCRegion`` span (per shared precompute)
 repro_bdd_build_seconds               histogram  —                           Suggest⁺ BDD miss span (fresh suggestion + append)
-repro_chase_memo_total                counter    result=hit|miss             batch chase memo lookups
-repro_transfix_memo_total             counter    result=hit|miss             batch TransFix memo lookups
-repro_cache_invalidations_total       counter    —                           master-version moves reconciling shared caches
-repro_store_delta_purge_total         counter    —                           version moves resolved by per-key delta purges
-repro_store_full_drop_total           counter    —                           version moves falling back to the full cache drop
+repro_chase_memo_total                counter    result=hit|miss             batch chase memo lookups (``_Memo.lookup``)
+repro_transfix_memo_total             counter    result=hit|miss             batch TransFix memo lookups (``_Memo.lookup``)
+repro_cache_invalidations_total       counter    —                           master-version moves reconciled by the engine's
+                                                                             one path (``CertainFix._sync_master_version``)
+repro_store_delta_purge_total         counter    —                           moves handing every engine cache the delta batch
+repro_store_full_drop_total           counter    —                           moves dropping every engine cache (journal gap)
 repro_store_probe_seconds             histogram  backend, op=probe|many      ``MasterStore.probe``/``probe_many`` span per backend
 repro_lint_pass_seconds               histogram  code                        one lint pass execution (per diagnostic code)
 repro_lint_budget_exhausted_total     counter    code                        certification budget exhaustions (E205 = the
                                                                              exact region check degraded to the sampled
                                                                              fallback, I208 = extension search went
                                                                              closure-level)
-repro_lint_certify_cache_total        counter    result                      certification cache outcomes (hit, miss,
-                                                                             delta_kept, recompute, full_drop)
 repro_remote_request_seconds          histogram  endpoint                    ``RemoteStore`` HTTP request span (client side)
 repro_remote_requests_total           counter    endpoint, status            ``RemoteStore`` request outcomes (status=ok|error)
 repro_remote_reconnects_total         counter    —                           client connections re-opened

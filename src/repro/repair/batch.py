@@ -15,11 +15,12 @@ adds the throughput layer on top of :class:`repro.repair.certainfix.CertainFix`:
   identical dirty shapes skip re-validation entirely;
 * **versioned invalidation** — masters are reached through the
   :class:`~repro.engine.store.MasterStore` seam; every shared structure
-  (regions, master indexes, the BDD, both memo tables) is stamped with the
-  store version it was built against, and an ``insert``/``delete``/
-  ``update`` of a master tuple moves the version so all of them rebuild
-  lazily before the next monitored tuple — incremental master updates can
-  no longer poison the shared caches;
+  (regions, the BDD, the memo tables) is stamped with the store version it
+  was built against, and an ``insert``/``delete``/``update`` of a master
+  tuple moves the version, so before the next monitored tuple the base
+  engine's one reconcile path purges what the journal's deltas touch (or
+  drops everything on a journal gap) — incremental master updates can no
+  longer poison the shared caches;
 * **chunked execution** — the input stream is consumed in bounded chunks
   (generators welcome: CSV ingestion never materializes the workload), with
   an optional thread or process fan-out over the read-only master state;
@@ -59,12 +60,11 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro import obs
 from repro.engine.csvio import stream_rows_from_csv
 from repro.engine.relation import Relation
 from repro.engine.schema import RelationSchema
@@ -72,35 +72,9 @@ from repro.engine.store import StoreError, as_master_store
 from repro.engine.tuples import Row
 from repro.obs import count_fixes_by_rule, session_provenance
 from repro.repair.certainfix import CertainFix, IncompleteFix
-from repro.repair.invalidation import FootprintIndex, RecordingStore
+from repro.repair.invalidation import MemoStats, RecordingStore
 from repro.repair.oracle import SimulatedUser
 from repro.repair.transfix import TransFixResult
-
-
-@dataclass
-class MemoStats:
-    """Hit/miss accounting for one validated-pattern memo table."""
-
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return self.hits / total if total else 0.0
-
-    def delta(self, earlier: "MemoStats") -> "MemoStats":
-        return MemoStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-        )
-
-    def snapshot(self) -> "MemoStats":
-        return MemoStats(hits=self.hits, misses=self.misses)
 
 
 @dataclass
@@ -298,14 +272,54 @@ def _rate(hits: int, misses: int) -> float:
 
 _IMAGE_COUNTERS = ("hits", "misses", "purged", "full_drops")
 
+#: The per-worker slice of the counters (``BatchReport.worker_stats``).
+_WORKER_COUNTERS = (
+    "chase_hits", "chase_misses", "transfix_hits", "transfix_misses",
+    "suggestion_hits", "suggestion_misses",
+)
 
-def _image_counters(store) -> dict:
-    info = store.image_cache_info()
-    return {name: info[name] for name in _IMAGE_COUNTERS}
+
+def _engine_counters(engine) -> dict:
+    """Every cumulative counter a :class:`BatchReport` is built from —
+    the memos, the suggestion cache, the reconciles and the store's image
+    cache (``image_*``).  A run reports the difference of two readings."""
+    suggestion = engine.cache_stats
+    image = engine.store.image_cache_info()
+    counters = {
+        "chase_hits": engine.chase_stats.hits,
+        "chase_misses": engine.chase_stats.misses,
+        "transfix_hits": engine.transfix_stats.hits,
+        "transfix_misses": engine.transfix_stats.misses,
+        "suggestion_hits": suggestion.hits if suggestion is not None else 0,
+        "suggestion_misses": (
+            suggestion.misses if suggestion is not None else 0
+        ),
+        "cache_invalidations": engine.cache_invalidations,
+        "delta_purges": engine.delta_purges,
+        "full_drops": engine.full_drops,
+    }
+    for name in _IMAGE_COUNTERS:
+        counters[f"image_{name}"] = image[name]
+    return counters
 
 
 def _counter_delta(after: dict, before: dict) -> dict:
-    return {name: after[name] - before[name] for name in _IMAGE_COUNTERS}
+    return {name: after[name] - before[name] for name in after}
+
+
+def _hit_rates(counters: dict) -> dict:
+    """The progress heartbeat's running hit rates."""
+    rates = {
+        "chase": _rate(counters["chase_hits"], counters["chase_misses"]),
+        "transfix": _rate(
+            counters["transfix_hits"], counters["transfix_misses"]
+        ),
+    }
+    if counters["suggestion_hits"] or counters["suggestion_misses"]:
+        rates["suggest"] = _rate(
+            counters["suggestion_hits"], counters["suggestion_misses"]
+        )
+    return rates
 
 
 @dataclass
@@ -337,36 +351,34 @@ class _MemoCertainFix(CertainFix):
     ``X ∪ Xp`` inside the validated set ``Z'`` (and grows ``Z'`` only with
     master-derived values), so both outcomes are pure functions of
     ``(Z', t[Z'])`` given fixed ``(Σ, Dm)`` — the memo key.  "Fixed" is
-    enforced by version-stamping: when the master store's version moves,
-    the inherited sync hook clears both memo tables along with the base
-    engine's regions/BDD/suggest caches.
+    enforced by the base engine's reconcile path: both memos are
+    :class:`~repro.repair.invalidation._Memo` tables, and a master delta
+    purges exactly the entries whose recorded probes the changed rows hit.
     """
 
     def __init__(self, *args, memoize: bool = True, **kwargs):
         super().__init__(*args, **kwargs)
         self._memoize = memoize
-        self._chase_memo: dict = {}
-        self._transfix_memo: dict = {}
-        # Reverse indexes from master probe footprints to memo entries:
-        # a journal delta purges exactly the entries whose chase/TransFix
-        # run probed the changed row (see repro.repair.invalidation).
-        self._chase_footprints = FootprintIndex(self.store.schema)
-        self._transfix_footprints = FootprintIndex(self.store.schema)
+        self._chase_memo = self._new_memo("repro_chase_memo_total")
+        self._transfix_memo = self._new_memo("repro_transfix_memo_total")
         # Per-thread footprint-recording store swapped in around miss-path
         # recomputes (thread-local: concurrent sessions record separately).
         self._recording = threading.local()
-        self.chase_stats = MemoStats()
-        self.transfix_stats = MemoStats()
         self._bdd_lock = None
-        # Counter increments are read-modify-write and would drop updates
-        # under the thread fan-out; the lock is uncontended (nanoseconds)
-        # next to a chase or TransFix run.
-        self._stats_lock = threading.Lock()
-        # Optional per-thread split of the shared memo counters, keyed by
-        # thread ident; enabled by the batch engine's thread fan-out so
+        # Optional per-thread split of the memo counters, keyed by thread
+        # ident; enabled by the batch engine's thread fan-out so
         # BatchReport.worker_stats has rows for threads like it does for
         # process workers.  None = disabled (no per-lookup overhead).
+        self._stats_lock = threading.Lock()
         self._thread_stats = None
+
+    @property
+    def chase_stats(self) -> MemoStats:
+        return self._chase_memo.stats
+
+    @property
+    def transfix_stats(self) -> MemoStats:
+        return self._transfix_memo.stats
 
     # -- per-thread accounting (thread fan-out worker_stats) -------------------
 
@@ -409,120 +421,68 @@ class _MemoCertainFix(CertainFix):
                 stats["_chunk"] = chunk_seq
                 stats["chunks"] += 1
 
-    # Both hooks run under the base engine's ``_memo_guard`` hold, and the
-    # stamp-checked writes below guarantee a worker that computed against
-    # the old version cannot re-poison the freshly reconciled tables.
-
-    def _drop_master_caches(self) -> None:
-        super()._drop_master_caches()
-        self._chase_memo.clear()
-        self._transfix_memo.clear()
-        self._chase_footprints.clear()
-        self._transfix_footprints.clear()
-
-    def _apply_master_deltas(self, deltas) -> bool:
-        if not super()._apply_master_deltas(deltas):
-            return False
-        # Purge soundness: an entry whose recorded probes all miss the
-        # changed rows recomputes along the identical probe path to the
-        # identical outcome, so only footprint hits need to go.  Every
-        # entry must carry a footprint for that argument to hold — if the
-        # tables ever disagree (they should not), fall back to the drop.
-        rows = [delta.values for delta in deltas]
-        for memo, index in (
-            (self._chase_memo, self._chase_footprints),
-            (self._transfix_memo, self._transfix_footprints),
-        ):
-            if len(memo) != len(index):
-                return False
-            for key in index.affected(rows):
-                memo.pop(key, None)
-                index.discard(key)
-        return True
-
-    def _memo_key(self, row: Row, validated: frozenset) -> tuple:
-        attrs = tuple(sorted(validated))
-        return attrs, row[attrs]
+    # -- the memoized hooks ----------------------------------------------------
 
     def _chase_store(self):
         # Miss-path recomputes chase through a footprint-recording wrapper
-        # (installed by _record_footprints below); everything else reads
-        # the store directly.
+        # (installed by _recorded below); everything else reads the store
+        # directly.
         recording = getattr(self._recording, "store", None)
         return recording if recording is not None else self.store
 
-    def _record_footprints(self, compute):
-        """Run *compute* (a chase/TransFix recompute) with probe-footprint
-        recording; returns ``(result, footprints_or_None)``."""
+    def _recorded(self, compute, row: Row, validated: frozenset) -> tuple:
+        """``(compute(row, validated), footprints)``, recording the probe
+        footprint when delta invalidation is on (else ``None``)."""
         if not self._delta_invalidation:
-            return compute(), None
+            return compute(row, validated), None
         recording = RecordingStore(self.store)
         self._recording.store = recording
         try:
-            result = compute()
+            result = compute(row, validated)
         finally:
             self._recording.store = None
         return result, recording.footprints
 
+    def _lookup(self, memo, label: str, row: Row, validated: frozenset,
+                compute):
+        value, hit = memo.lookup(self._memo_key(row, validated), compute)
+        if self._thread_stats is not None:
+            with self._stats_lock:
+                self._bump_thread(f"{label}_hits" if hit else f"{label}_misses")
+        return value
+
     def _unique(self, row: Row, validated: frozenset) -> bool:
         if not self._memoize:
             return super()._unique(row, validated)
-        key = self._memo_key(row, validated)
-        stamp = self._master_version
-        cached = self._chase_memo.get(key)
-        if cached is None:
-            with self._stats_lock:
-                self.chase_stats.misses += 1
-                self._bump_thread("chase_misses")
-            obs.inc("repro_chase_memo_total", result="miss")
-            cached, footprints = self._record_footprints(
-                lambda: super(_MemoCertainFix, self)._unique(row, validated)
-            )
-            with self._memo_guard:
-                if self._master_version == stamp:
-                    self._chase_memo[key] = cached
-                    if footprints is not None:
-                        self._chase_footprints.add(key, footprints)
-        else:
-            with self._stats_lock:
-                self.chase_stats.hits += 1
-                self._bump_thread("chase_hits")
-            obs.inc("repro_chase_memo_total", result="hit")
-        return cached
+        return self._lookup(
+            self._chase_memo, "chase", row, validated,
+            lambda: self._recorded(super(_MemoCertainFix, self)._unique,
+                                   row, validated),
+        )
 
     def _transfix(self, row: Row, validated: frozenset) -> TransFixResult:
         if not self._memoize:
             return super()._transfix(row, validated)
-        key = self._memo_key(row, validated)
-        stamp = self._master_version
-        entry = self._transfix_memo.get(key)
-        if entry is None:
-            with self._stats_lock:
-                self.transfix_stats.misses += 1
-                self._bump_thread("transfix_misses")
-            obs.inc("repro_transfix_memo_total", result="miss")
-            result, footprints = self._record_footprints(
-                lambda: super(_MemoCertainFix, self)._transfix(row, validated)
+        fresh = None
+
+        def compute():
+            nonlocal fresh
+            fresh, footprints = self._recorded(
+                super(_MemoCertainFix, self)._transfix, row, validated
             )
             fixes = tuple(
-                (rule.rhs, result.row[rule.rhs]) for rule, _ in result.applied
+                (rule.rhs, fresh.row[rule.rhs]) for rule, _ in fresh.applied
             )
-            with self._memo_guard:
-                if self._master_version == stamp:
-                    self._transfix_memo[key] = (
-                        fixes, tuple(result.applied), result.lookups,
-                    )
-                    if footprints is not None:
-                        self._transfix_footprints.add(key, footprints)
-            return result
-        with self._stats_lock:
-            self.transfix_stats.hits += 1
-            self._bump_thread("transfix_hits")
-        obs.inc("repro_transfix_memo_total", result="hit")
+            return (fixes, tuple(fresh.applied), fresh.lookups), footprints
+
+        entry = self._lookup(
+            self._transfix_memo, "transfix", row, validated, compute
+        )
+        if fresh is not None:
+            return fresh
         fixes, applied, lookups = entry
-        fixed_row = row.with_values(dict(fixes)) if fixes else row
         return TransFixResult(
-            row=fixed_row,
+            row=row.with_values(dict(fixes)) if fixes else row,
             validated=frozenset(validated) | {attr for attr, _ in fixes},
             applied=list(applied),
             lookups=lookups,
@@ -625,9 +585,7 @@ def _process_worker_chunk(task: tuple) -> dict:
     seq, pairs, version, snapshot, deltas = task
     engine = _WORKER_ENGINE
     store = engine.store
-    invalidations0 = engine.cache_invalidations
-    delta_purges0 = engine.delta_purges
-    full_drops0 = engine.full_drops
+    before = _engine_counters(engine)
     # Strictly newer only: tasks are dispatched through one FIFO queue, so
     # dispatch versions arrive monotonically; the guard is belt-and-braces
     # against ever "syncing" a worker backwards.
@@ -637,36 +595,14 @@ def _process_worker_chunk(task: tuple) -> dict:
     warm_s = 0.0
     if store.supports_batched_probes:
         warm_s = _warm_chunk_probes(engine, pairs)
-    chase0 = engine.chase_stats.snapshot()
-    transfix0 = engine.transfix_stats.snapshot()
-    image0 = _image_counters(store)
-    suggestion = engine.cache_stats
-    sugg_hits0 = suggestion.hits if suggestion is not None else 0
-    sugg_misses0 = suggestion.misses if suggestion is not None else 0
 
     sessions = [engine.fix(row, oracle) for row, oracle in pairs]
 
-    suggestion = engine.cache_stats
     return {
         "seq": seq,
         "worker": f"pid-{os.getpid()}",
         "sessions": sessions,
-        "chase": (
-            engine.chase_stats.hits - chase0.hits,
-            engine.chase_stats.misses - chase0.misses,
-        ),
-        "transfix": (
-            engine.transfix_stats.hits - transfix0.hits,
-            engine.transfix_stats.misses - transfix0.misses,
-        ),
-        "suggestions": (
-            (suggestion.hits - sugg_hits0) if suggestion is not None else 0,
-            (suggestion.misses - sugg_misses0) if suggestion is not None else 0,
-        ),
-        "image": _counter_delta(_image_counters(store), image0),
-        "invalidations": engine.cache_invalidations - invalidations0,
-        "delta_purges": engine.delta_purges - delta_purges0,
-        "full_drops": engine.full_drops - full_drops0,
+        "counters": _counter_delta(_engine_counters(engine), before),
         "warm_s": warm_s,
         # Ack: lets the parent stop attaching snapshots once every worker
         # has confirmed the post-mutation stamp.
@@ -947,23 +883,10 @@ class BatchRepairEngine:
     def _run_process(self, pairs: Iterable, progress=None) -> BatchResult:
         """Fan chunks out to the worker processes; merge in stream order."""
         pool = self._ensure_pool()
-        engine = self._engine
         sessions: list = []
         worker_stats: dict = {}
-        totals = {
-            "chase": [0, 0], "transfix": [0, 0], "suggestions": [0, 0],
-            "invalidations": 0, "delta_purges": 0, "full_drops": 0,
-            "warm_s": 0.0, "image": dict.fromkeys(_IMAGE_COUNTERS, 0),
-        }
-
-        def hit_rates() -> dict:
-            rates = {
-                "chase": _rate(*totals["chase"]),
-                "transfix": _rate(*totals["transfix"]),
-            }
-            if totals["suggestions"][0] or totals["suggestions"][1]:
-                rates["suggest"] = _rate(*totals["suggestions"])
-            return rates
+        totals: Counter = Counter()
+        warm_s = 0.0
 
         def worker_tuples() -> dict:
             return {
@@ -972,43 +895,29 @@ class BatchRepairEngine:
             }
 
         def consume(future) -> None:
+            nonlocal warm_s
             result = future.result()
             chunk_sessions = result["sessions"]
-            for offset, session in enumerate(chunk_sessions):
-                if not session.completed and self.on_incomplete == "raise":
-                    raise IncompleteFix(session, index=len(sessions) + offset)
-            sessions.extend(chunk_sessions)
+            self._extend(sessions, chunk_sessions)
             self._worker_versions[result["worker"]] = max(
                 result["store_version"],
                 self._worker_versions.get(result["worker"], 0),
             )
-            for name in ("chase", "transfix", "suggestions"):
-                totals[name][0] += result[name][0]
-                totals[name][1] += result[name][1]
-            totals["invalidations"] += result["invalidations"]
-            totals["delta_purges"] += result["delta_purges"]
-            totals["full_drops"] += result["full_drops"]
-            totals["warm_s"] += result["warm_s"]
-            for name, value in result["image"].items():
-                totals["image"][name] += value
-            stats = worker_stats.setdefault(result["worker"], {
-                "chunks": 0, "tuples": 0,
-                "chase_hits": 0, "chase_misses": 0,
-                "transfix_hits": 0, "transfix_misses": 0,
-                "suggestion_hits": 0, "suggestion_misses": 0,
-            })
+            counters = result["counters"]
+            totals.update(counters)
+            warm_s += result["warm_s"]
+            stats = worker_stats.setdefault(
+                result["worker"],
+                dict.fromkeys(("chunks", "tuples", *_WORKER_COUNTERS), 0),
+            )
             stats["chunks"] += 1
             stats["tuples"] += len(chunk_sessions)
-            stats["chase_hits"] += result["chase"][0]
-            stats["chase_misses"] += result["chase"][1]
-            stats["transfix_hits"] += result["transfix"][0]
-            stats["transfix_misses"] += result["transfix"][1]
-            stats["suggestion_hits"] += result["suggestions"][0]
-            stats["suggestion_misses"] += result["suggestions"][1]
+            for name in _WORKER_COUNTERS:
+                stats[name] += counters[name]
             if progress is not None:
                 progress.advance(
                     len(chunk_sessions),
-                    rates=hit_rates(),
+                    rates=_hit_rates(totals),
                     workers=worker_tuples(),
                 )
 
@@ -1038,70 +947,18 @@ class BatchRepairEngine:
                 future.cancel()
         elapsed = time.perf_counter() - started
         if progress is not None:
-            progress.finish(rates=hit_rates(), workers=worker_tuples())
-
-        report = BatchReport(
-            tuples=len(sessions),
-            completed=sum(1 for s in sessions if s.completed),
-            incomplete=sum(1 for s in sessions if not s.completed),
-            rounds=sum(s.round_count for s in sessions),
-            chunks=chunks,
-            elapsed=elapsed,
-            concurrency=self.concurrency,
-            chunk_size=self.chunk_size,
-            executor="process",
-            workers=self.concurrency,
-            worker_stats=worker_stats,
-            regions_precomputed=len(engine.regions),
-            chase_memo=MemoStats(*totals["chase"]),
-            transfix_memo=MemoStats(*totals["transfix"]),
-            suggestion_hits=totals["suggestions"][0],
-            suggestion_misses=totals["suggestions"][1],
-            cache_invalidations=totals["invalidations"],
-            delta_purges=totals["delta_purges"],
-            full_drops=totals["full_drops"],
-            image_cache=totals["image"],
-            master_version=self._safe_store_version(),
-            timings={
-                "region_precompute_s": self._region_precompute_s,
-                "probe_warmup_s": totals["warm_s"],
-            },
-            fixes_by_rule=count_fixes_by_rule(sessions),
-            store_errors=(
-                [str(store_failure)] if store_failure is not None else []
-            ),
+            progress.finish(rates=_hit_rates(totals), workers=worker_tuples())
+        return self._result(
+            sessions, chunks, elapsed, totals, worker_stats, warm_s,
+            store_failure,
         )
-        if store_failure is not None:
-            store_failure.report = report
-            raise store_failure
-        return BatchResult(sessions=sessions, report=report)
 
     def _run_threaded(self, pairs: Iterable, progress=None) -> BatchResult:
         engine = self._engine
-        chase_before = engine.chase_stats.snapshot()
-        transfix_before = engine.transfix_stats.snapshot()
-        invalidations_before = engine.cache_invalidations
-        delta_purges_before = engine.delta_purges
-        full_drops_before = engine.full_drops
-        image_before = _image_counters(engine.store)
-        bdd_before = engine.cache_stats
-        bdd_hits0 = bdd_before.hits if bdd_before is not None else 0
-        bdd_misses0 = bdd_before.misses if bdd_before is not None else 0
+        before = _engine_counters(engine)
 
         def hit_rates() -> dict:
-            rates = {
-                "chase": engine.chase_stats.delta(chase_before).hit_rate,
-                "transfix": engine.transfix_stats.delta(
-                    transfix_before
-                ).hit_rate,
-            }
-            sugg = engine.cache_stats
-            if sugg is not None:
-                hits = sugg.hits - bdd_hits0
-                misses = sugg.misses - bdd_misses0
-                if hits or misses:
-                    rates["suggest"] = _rate(hits, misses)
-            return rates
+            return _hit_rates(_counter_delta(_engine_counters(engine), before))
 
         sessions: list = []
         worker_stats: dict = {}
@@ -1131,12 +988,7 @@ class BatchRepairEngine:
                     chunk_sessions = [
                         engine.fix(row, oracle) for row, oracle in chunk
                     ]
-                for offset, session in enumerate(chunk_sessions):
-                    if not session.completed and self.on_incomplete == "raise":
-                        raise IncompleteFix(
-                            session, index=len(sessions) + offset
-                        )
-                sessions.extend(chunk_sessions)
+                self._extend(sessions, chunk_sessions)
                 if progress is not None:
                     progress.advance(len(chunk_sessions), rates=hit_rates())
         except StoreError as exc:
@@ -1162,8 +1014,27 @@ class BatchRepairEngine:
                     for worker, stats in worker_stats.items()
                 } or None,
             )
+        return self._result(
+            sessions, chunks, elapsed,
+            _counter_delta(_engine_counters(engine), before),
+            worker_stats, 0.0, store_failure,
+        )
 
-        bdd_after = engine.cache_stats
+    def _extend(self, sessions: list, chunk_sessions: list) -> None:
+        """Append a chunk's sessions, honouring ``on_incomplete``."""
+        for offset, session in enumerate(chunk_sessions):
+            if not session.completed and self.on_incomplete == "raise":
+                raise IncompleteFix(session, index=len(sessions) + offset)
+        sessions.extend(chunk_sessions)
+
+    def _result(
+        self, sessions: list, chunks: int, elapsed: float, counters: dict,
+        worker_stats: dict, warm_s: float, store_failure,
+    ) -> BatchResult:
+        """The run's :class:`BatchReport`, built in one place for both
+        executors from its counter differences (:func:`_engine_counters`).
+        A run cut short by a store failure re-raises it with the report
+        attached."""
         report = BatchReport(
             tuples=len(sessions),
             completed=sum(1 for s in sessions if s.completed),
@@ -1173,30 +1044,28 @@ class BatchRepairEngine:
             elapsed=elapsed,
             concurrency=self.concurrency,
             chunk_size=self.chunk_size,
-            executor="thread",
+            executor=self.executor,
             workers=self.concurrency,
             worker_stats=worker_stats,
-            regions_precomputed=len(engine.regions),
-            chase_memo=engine.chase_stats.delta(chase_before),
-            transfix_memo=engine.transfix_stats.delta(transfix_before),
-            suggestion_hits=(
-                bdd_after.hits - bdd_hits0 if bdd_after is not None else 0
+            regions_precomputed=len(self._engine.regions),
+            chase_memo=MemoStats(
+                counters["chase_hits"], counters["chase_misses"]
             ),
-            suggestion_misses=(
-                bdd_after.misses - bdd_misses0 if bdd_after is not None else 0
+            transfix_memo=MemoStats(
+                counters["transfix_hits"], counters["transfix_misses"]
             ),
-            cache_invalidations=(
-                engine.cache_invalidations - invalidations_before
-            ),
-            delta_purges=engine.delta_purges - delta_purges_before,
-            full_drops=engine.full_drops - full_drops_before,
-            image_cache=_counter_delta(
-                _image_counters(engine.store), image_before
-            ),
+            suggestion_hits=counters["suggestion_hits"],
+            suggestion_misses=counters["suggestion_misses"],
+            cache_invalidations=counters["cache_invalidations"],
+            delta_purges=counters["delta_purges"],
+            full_drops=counters["full_drops"],
+            image_cache={
+                name: counters[f"image_{name}"] for name in _IMAGE_COUNTERS
+            },
             master_version=self._safe_store_version(),
             timings={
                 "region_precompute_s": self._region_precompute_s,
-                "probe_warmup_s": 0.0,
+                "probe_warmup_s": warm_s,
             },
             fixes_by_rule=count_fixes_by_rule(sessions),
             store_errors=(

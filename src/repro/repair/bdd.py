@@ -52,10 +52,12 @@ class CacheStats:
 class SuggestionCache:
     """The Suggest⁺ BDD: per-round suggestion reuse across a tuple stream.
 
-    Every cached suggestion was certified against a concrete master state;
-    when the backing :class:`~repro.engine.store.MasterStore` moves to a new
-    version the owner must call :meth:`invalidate` (the repair engines do
-    this automatically from their version-sync hook).
+    Every cached suggestion was certified against a concrete master state.
+    When the backing :class:`~repro.engine.store.MasterStore` moves, the
+    owning engine's reconcile path keeps the nodes for a journal delta
+    batch (:meth:`_valid_for` rechecks each reuse against the live master,
+    and the engine patches :attr:`pattern_cache`) and calls
+    :meth:`invalidate` when the journal cannot vouch for the gap.
     """
 
     def __init__(

@@ -13,9 +13,11 @@ every attribute of the tuple is validated.
 Master data is reached exclusively through the
 :class:`~repro.engine.store.MasterStore` seam — the Sect. 5.1 hash table
 behind ``probe`` — so in-memory and out-of-core backends are
-interchangeable.  All derived state (certain regions, the BDD, the suggest
-memo, pattern probes) is stamped with the store version it was computed
-against and rebuilt lazily when the master mutates.
+interchangeable.  All derived state (certain regions and their guard, the
+BDD, the shared pattern-probe cache, the memos) follows one rule: a value
+lands only under the master version read before it was computed, and one
+reconcile path (:meth:`CertainFix._sync_master_version`) hands every
+structure the store's delta batch, or drops it on a journal gap.
 """
 
 from __future__ import annotations
@@ -32,10 +34,11 @@ from repro.engine.schema import RelationSchema
 from repro.engine.store import as_master_store
 from repro.engine.tuples import Row
 from repro.obs import FixProvenance
-from repro.repair.bdd import CacheStats, SuggestionCache
+from repro.repair.bdd import SuggestionCache
 from repro.repair.invalidation import (
     RecordingStore,
     RegionGuard,
+    _Memo,
     patch_pattern_cache,
 )
 from repro.repair.region_search import comp_c_region
@@ -156,8 +159,9 @@ class CertainFix:
         Precomputed certain-region candidates (output of
         :func:`repro.repair.region_search.comp_c_region`).  Computed once on
         first use when omitted; index 0 (highest quality) seeds round 1.
-        Recomputed from the store whenever its version moves: regions are
-        valid only for the master state they were derived from.
+        Recomputed from the store when a master move is not provably
+        harmless (see ``delta_invalidation``): regions are valid only for
+        the master state they were derived from.
     use_bdd:
         Enable the Suggest⁺ cache — this is CertainFix⁺.
     memoize_suggest:
@@ -173,9 +177,8 @@ class CertainFix:
         Consume the store's delta journal on master mutation: purge only
         the cache entries a changed row can touch and keep everything
         else stamped valid, falling back to the full drop whenever the
-        journal cannot vouch for the gap (window overflow, bulk loads,
-        deletes the region guard will not absorb).  Off means every
-        version move performs the historical full teardown — the
+        journal cannot vouch for the gap (window overflow, bulk loads).
+        Off means every version move performs the full drop — the
         reference behaviour the equivalence fuzz compares against.
     """
 
@@ -197,9 +200,6 @@ class CertainFix:
     ):
         self.rules = list(rules)
         self.store = as_master_store(master)
-        # ``master`` stays as an alias of the store: every legacy call site
-        # (and the analyses this engine delegates to) reads through it.
-        self.master = self.store
         self.schema = schema
         self.graph = DependencyGraph(self.rules)
         self.max_rounds = max_rounds
@@ -220,14 +220,11 @@ class CertainFix:
         self._pattern_cache: dict = (
             self._cache.pattern_cache if self._cache is not None else {}
         )
-        self._suggest_memo: dict = {} if memoize_suggest else None
-        self._suggest_stats = CacheStats() if memoize_suggest else None
-        # Guards every version-stamped structure (the version stamp itself,
-        # the suggest memo, and subclass memo tables) against the thread
-        # fan-out: teardown happens under the guard, and memo writes are
-        # stamp-checked under it so an outcome computed against an old
-        # master version can never re-poison a freshly cleared cache.
-        # Re-entrant: subclasses extend the teardown within the same hold.
+        # Guards every version-stamped structure (the stamp itself, the
+        # regions, every memo) against the thread fan-out: the reconcile
+        # runs under it, and writes are stamp-checked under it, so a value
+        # computed against an old master version can never re-poison a
+        # freshly reconciled cache.
         self._memo_guard = threading.RLock()
         self.cache_invalidations = 0
         self._delta_invalidation = delta_invalidation
@@ -246,39 +243,62 @@ class CertainFix:
         for rule in self.rules:
             self.store.ensure_index(rule.lhs_m)
         self._master_version = self.store.version
+        #: Every memo the reconcile path purges (subclasses add theirs).
+        self._memos: list = []
+        self._suggest_memo = self._new_memo() if memoize_suggest else None
+
+    def _new_memo(self, metric: str = None) -> _Memo:
+        memo = _Memo(
+            self.store.schema, self._memo_guard, self._master_version, metric
+        )
+        self._memos.append(memo)
+        return memo
+
+    @staticmethod
+    def _memo_key(row: Row, validated: frozenset) -> tuple:
+        """The validated pattern ``(Z', t[Z'])`` every memo is keyed on."""
+        attrs = tuple(sorted(validated))
+        return attrs, row[attrs]
 
     # -- precomputation ----------------------------------------------------------
 
     @property
     def regions(self) -> list:
-        if self._regions is None:
+        regions = self._regions
+        while regions is None:
+            stamp = self._master_version
             with obs.time_block("repro_region_precompute_seconds"):
-                if self._delta_invalidation:
-                    # Record the build's master footprint so the region
-                    # guard can later prove a delta batch leaves the
-                    # rebuild outcome unchanged.
-                    recording = RecordingStore(self.store)
-                    record: list = []
-                    self._regions = comp_c_region(
-                        self.rules, recording, self.schema, record=record
-                    )
-                    self._region_guard = RegionGuard(
-                        self.rules,
-                        self.schema,
-                        self.store,
-                        recording.footprints,
-                        record,
-                    )
-                else:
-                    self._regions = comp_c_region(
-                        self.rules, self.store, self.schema
-                    )
-            if not self._regions:
+                regions, guard = self._build_regions()
+            with self._memo_guard:
+                if self._master_version != stamp:
+                    # Built across a reconcile: the list may describe a
+                    # master that no longer exists.  Rebuild.
+                    regions = None
+                    continue
+                self._regions, self._region_guard = regions, guard
+            if not regions:
                 raise ValueError(
                     "no certain region exists for (Σ, Dm); CertainFix needs "
                     "at least one to seed its first suggestion"
                 )
-        return self._regions
+        return regions
+
+    def _build_regions(self) -> tuple:
+        """``(regions, guard)`` from the current master; the guard is
+        ``None`` without delta invalidation."""
+        if not self._delta_invalidation:
+            return comp_c_region(self.rules, self.store, self.schema), None
+        # Record the build's master footprint so the region guard can
+        # later prove a delta batch leaves the rebuild outcome unchanged.
+        recording = RecordingStore(self.store)
+        record: list = []
+        regions = comp_c_region(
+            self.rules, recording, self.schema, record=record
+        )
+        guard = RegionGuard(
+            self.rules, self.schema, self.store, recording.footprints, record
+        )
+        return regions, guard
 
     @property
     def initial_region(self):
@@ -292,7 +312,9 @@ class CertainFix:
         non-BDD suggest memo's, else ``None``."""
         if self._cache is not None:
             return self._cache.stats
-        return self._suggest_stats
+        if self._suggest_memo is not None:
+            return self._suggest_memo.stats
+        return None
 
     # -- master-version synchronisation -----------------------------------------
 
@@ -300,75 +322,56 @@ class CertainFix:
         """Reconcile version-stamped state when the master store moved.
 
         Checked on every monitored tuple (an integer compare when nothing
-        changed).  Regions, the Suggest⁺ BDD, the suggest memo and the
-        pattern-probe cache were all computed against a concrete master
-        state; any of them may certify fixes that are no longer certain
-        after an insert/delete/update.  With ``delta_invalidation`` on,
-        the store's delta journal names the changed rows and
-        :meth:`_apply_master_deltas` purges surgically; whenever the
-        journal cannot vouch for the gap (``deltas_since`` returns
-        ``None``) or a delta resists surgical treatment, the historical
-        full drop runs instead — so correctness never depends on the
-        delta path succeeding.
+        changed).  Regions, the Suggest⁺ BDD, the pattern-probe cache and
+        the memos were all computed against a concrete master state; any
+        of them may certify fixes that are no longer certain after an
+        insert/delete/update.  With ``delta_invalidation`` on, the store's
+        delta journal names the changed rows and each structure takes the
+        batch: the :class:`RegionGuard` keeps the regions iff it proves a
+        rebuild would reproduce them, the pattern cache is patched row by
+        row, BDD nodes stay (``_valid_for`` revalidates every cached
+        suggestion against the live master), and each memo purges its
+        footprint hits.  When the journal cannot vouch for the gap
+        (``deltas_since`` returns ``None`` or nothing) every structure is
+        dropped instead — so correctness never depends on the delta path.
         """
         version = self.store.version
         if version == self._master_version:
             return False
         with self._memo_guard:
             if version == self._master_version:
-                return False  # another worker already performed the teardown
+                return False  # another worker already reconciled
             deltas = (
                 self.store.deltas_since(self._master_version)
                 if self._delta_invalidation
                 else None
-            )
-            if deltas and self._apply_master_deltas(deltas):
-                self.delta_purges += 1
-                counter = "repro_store_delta_purge_total"
-            else:
-                self._drop_master_caches()
+            ) or None  # an empty batch vouches for nothing either
+            if self._regions is not None and (
+                deltas is None
+                or self._region_guard is None
+                or not self._region_guard.absorb(deltas, self.store)
+            ):
+                self._regions = self._region_guard = None
+            if deltas is None:
+                self._pattern_cache.clear()
+                if self._cache is not None:
+                    self._cache.invalidate()
+                rows = None
                 self.full_drops += 1
                 counter = "repro_store_full_drop_total"
+            else:
+                patch_pattern_cache(
+                    self._pattern_cache, self.rules, deltas, self.store.schema
+                )
+                rows = [delta.values for delta in deltas]
+                self.delta_purges += 1
+                counter = "repro_store_delta_purge_total"
+            for memo in self._memos:
+                memo.purge(rows, version)
             self._master_version = version
             self.cache_invalidations += 1
         obs.inc(counter)
         obs.inc("repro_cache_invalidations_total")
-        return True
-
-    def _drop_master_caches(self) -> None:
-        """The historical full teardown: every derived cache rebuilds
-        lazily.  Subclasses extend this to cover their own caches.
-        Runs under ``_memo_guard``."""
-        self._regions = None
-        self._region_guard = None
-        self._pattern_cache.clear()
-        if self._suggest_memo is not None:
-            self._suggest_memo.clear()
-        if self._cache is not None:
-            self._cache.invalidate()
-
-    def _apply_master_deltas(self, deltas) -> bool:
-        """Purge per-key for a journal delta batch; True on success.
-
-        Regions survive iff the :class:`RegionGuard` proves a rebuild
-        would reproduce them; the per-rule pattern cache (shared with the
-        BDD) is patched row by row; the suggest memo is cleared
-        (suggestions embed witness sweeps — retention would not be
-        bit-identical); BDD nodes are retained because ``_valid_for``
-        revalidates every cached suggestion against the live master.
-        Subclasses extend this with footprint-indexed memo purges.
-        Runs under ``_memo_guard``; a False return means the caller must
-        fall back to :meth:`_drop_master_caches`.
-        """
-        rows = [Row(self.store.schema, delta.values) for delta in deltas]
-        if self._regions is not None:
-            guard = self._region_guard
-            if guard is None or not guard.absorb(deltas, self.store):
-                self._regions = None
-                self._region_guard = None
-        patch_pattern_cache(self._pattern_cache, self.rules, deltas, rows)
-        if self._suggest_memo is not None:
-            self._suggest_memo.clear()
         return True
 
     def resync_master(self) -> bool:
@@ -538,24 +541,13 @@ class CertainFix:
         # Suggest is a pure function of the validated pattern (Z', t[Z'])
         # for fixed (Σ, Dm) — the same argument that makes the batch
         # engine's chase/TransFix memos sound — so identical dirty shapes
-        # reuse the suggestion outright on non-BDD streams.
-        attrs = tuple(sorted(validated))
-        key = (attrs, row[attrs])
-        stamp = self._master_version
-        cached = self._suggest_memo.get(key)
-        if cached is not None:
-            with self._memo_guard:
-                self._suggest_stats.hits += 1
-            return cached
-        with self._memo_guard:
-            self._suggest_stats.misses += 1
-        suggestion = self._fresh_suggestion(row, validated)
-        with self._memo_guard:
-            # Stamp check: if the master moved while we computed, this
-            # suggestion was certified against deleted/updated tuples and
-            # must not outlive the invalidation that just cleared the memo.
-            if self._master_version == stamp:
-                self._suggest_memo[key] = suggestion
+        # reuse the suggestion outright on non-BDD streams.  No footprint
+        # is recorded (suggestions embed witness sweeps), so any delta
+        # purges the whole memo.
+        suggestion, _hit = self._suggest_memo.lookup(
+            self._memo_key(row, validated),
+            lambda: (self._fresh_suggestion(row, validated), None),
+        )
         return suggestion
 
     def _fresh_suggestion(self, row: Row, validated: frozenset) -> Suggestion:

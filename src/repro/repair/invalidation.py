@@ -1,10 +1,12 @@
-"""Delta-aware cache invalidation (the machinery behind surgical purges).
+"""Delta-aware cache invalidation: the engine's one write-and-purge rule.
 
-One master mutation used to drop *every* version-stamped cache — regions,
-the Suggest⁺ BDD, chase/TransFix memos, pattern probes — costing 0.6–1.7s
-of rebuild per mutation at bench scale.  The :class:`~repro.engine.store`
-delta journal names exactly which rows changed; this module provides the
-consumer-side machinery that turns those deltas into per-key purges:
+Every structure the repair engine derives from the master — certain
+regions, the Suggest⁺ BDD and its pattern probes, the chase, TransFix and
+suggest memos — is reconciled in one place,
+:meth:`~repro.repair.certainfix.CertainFix._sync_master_version`, which
+hands each of them the store's ``deltas_since`` batch, or drops it when
+the journal cannot vouch for the gap (``None``).  This module provides
+the pieces that reconcile consumes:
 
 * :class:`RecordingStore` — a pass-through :class:`MasterStore` wrapper
   that records the *read footprint* of a computation: every keyed probe
@@ -16,10 +18,14 @@ consumer-side machinery that turns those deltas into per-key purges:
   ``check_pattern`` call of a region build), which is what lets the
   region guard re-verify exactly the checks a mutated row touched
   instead of rejecting wholesale.
-* :class:`FootprintIndex` — a reverse index from probe footprints to the
-  memo entries that performed them.  ``affected(rows)`` answers "which
-  entries could a mutated row invalidate?" in time proportional to the
-  number of distinct probed attribute lists, not the number of entries.
+* :class:`FootprintIndex` — the one reverse index from probe footprints
+  to the entries that performed them, used by the memos and the region
+  guard alike.  A mutated row is projected once per distinct probed
+  attribute list, not once per entry.
+* :class:`_Memo` — one memo table with its footprint index and
+  :class:`MemoStats`.  A write lands only under the stamp read before
+  its compute; a purge drops the footprint hits plus every entry stored
+  without a footprint.
 * :class:`RegionGuard` — decides whether the precomputed certain regions
   survive a delta batch *unchanged*.  Deletes (and updates, which journal
   as delete+insert) always rebuild.  For inserts the guard proves the
@@ -32,21 +38,25 @@ consumer-side machinery that turns those deltas into per-key purges:
   re-verified by chasing exactly the new value combinations.  Anything it
   cannot prove falls back to a rebuild — the guard only ever skips work,
   never correctness.
-* :func:`row_supports_pattern` — Suggest's pattern-only condition (c)
-  for one master row: Suggest sweeps it over the master, and the
-  pattern-cache patcher applies it per delta instead of re-sweeping.
+* :func:`row_supports_pattern` / :func:`patch_pattern_cache` — Suggest's
+  pattern-only condition (c) for one master row: Suggest sweeps it over
+  the master, and the shared pattern cache (keyed by rule identity) is
+  patched with it delta by delta instead of re-swept.
 
 Everything here is advisory: every consumer treats "cannot prove" as
-"fall back to the full drop", so the delta path yields fixes bit-identical
-to the full-drop path by construction (pinned by the equivalence fuzz in
-``tests/test_store_equivalence.py``).
+"drop and recompute", so the delta path yields fixes bit-identical to the
+full-drop path by construction (pinned by the equivalence fuzz in
+``tests/test_store_equivalence.py``; ``make invalidation`` runs it with
+the race and pattern-cache tests).
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from repro import obs
 from repro.analysis.active_domain import (
     attribute_active_domain,
     instantiate_condition,
@@ -170,15 +180,18 @@ class RecordingStore(MasterStore):
 
 
 class FootprintIndex:
-    """Reverse index: master probe footprints → dependent memo entries.
+    """Reverse index: master probe footprints → the entries that made them.
 
-    Entries register with :meth:`add` under an opaque key (the memo key)
-    and the footprint set a :class:`RecordingStore` captured while the
-    entry's value was computed.  :meth:`affected` projects a mutated
-    row onto every distinct probed attribute list and collects the
-    entries whose recorded probes the row matches — exactly the entries
-    whose deterministic recompute could observe the mutation.  Not
-    thread-safe; callers hold the owning engine's memo guard.
+    Entries register with :meth:`add` under an opaque key (a memo key, a
+    region check's ``(seed, check)`` position) and the footprint set a
+    :class:`RecordingStore` captured while the entry was computed.
+    :meth:`hits` projects a mutated row onto every distinct probed
+    attribute list and yields the recorded probes it matches, with their
+    owners; :meth:`affected` collects the owners over a delta batch —
+    exactly the entries whose deterministic recompute could observe the
+    mutation.  Cost per row is one projection and dict lookup per
+    distinct attribute list ever probed, not per entry.  Not thread-safe;
+    callers hold their owner's lock.
     """
 
     def __init__(self, schema: RelationSchema):
@@ -187,10 +200,8 @@ class FootprintIndex:
         self._by_probe: dict = {}   # attrs -> {key: set(entry keys)}
         self._entries: dict = {}    # entry key -> tuple of footprints
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def add(self, entry, footprints: Iterable) -> None:
+        """(Re)register *entry* under exactly *footprints*."""
         self.discard(entry)
         footprints = tuple(footprints)
         self._entries[entry] = footprints
@@ -217,26 +228,117 @@ class FootprintIndex:
                 if not owners:
                     del keyed[key]
 
-    def affected(self, rows: Iterable) -> set:
-        """Entries whose recorded probes any of *rows* projects onto.
+    def hits(self, values) -> Iterator[tuple]:
+        """``(attrs, key, owners)`` for every recorded probe the master
+        value tuple *values* projects onto."""
+        for attrs, keyed in self._by_probe.items():
+            key = tuple(values[p] for p in self._positions[attrs])
+            owners = keyed.get(key)
+            if owners:
+                yield attrs, key, owners
 
-        *rows* are full master value tuples (delta payloads).  Cost per
-        row is one projection + dict lookup per distinct attribute list
-        ever probed — a handful for real rule sets.
-        """
+    def affected(self, rows: Iterable) -> set:
+        """Entries whose recorded probes any of *rows* (master value
+        tuples, i.e. delta payloads) projects onto."""
         out: set = set()
         for values in rows:
-            for attrs, keyed in self._by_probe.items():
-                positions = self._positions[attrs]
-                projected = tuple(values[p] for p in positions)
-                owners = keyed.get(projected)
-                if owners:
-                    out.update(owners)
+            for _attrs, _key, owners in self.hits(values):
+                out.update(owners)
         return out
 
     def clear(self) -> None:
         self._by_probe.clear()
         self._entries.clear()
+
+
+@dataclass
+class MemoStats:
+    """Hit/miss accounting for one memo table."""
+
+    hits: int = 0
+    misses: int = 0
+
+    @property
+    def lookups(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        total = self.lookups
+        return self.hits / total if total else 0.0
+
+    def delta(self, earlier: "MemoStats") -> "MemoStats":
+        return MemoStats(
+            hits=self.hits - earlier.hits,
+            misses=self.misses - earlier.misses,
+        )
+
+
+class _Memo:
+    """One engine memo: a table, its :class:`FootprintIndex` and its
+    :class:`MemoStats`, under one write rule.
+
+    :meth:`lookup` reads the stamp (:attr:`version`) before it computes a
+    miss, and the value lands only if the stamp still holds when the
+    compute returns — so a value computed against an older master never
+    outlives the reconcile that moved the stamp.  :meth:`purge` is that
+    reconcile: given a delta batch's rows it drops the entries whose
+    recorded footprint a row hits plus every entry stored without a
+    footprint (nothing proves those unaffected); given ``None`` (a
+    journal gap, or no journal) it drops everything.  *lock* is the
+    owning engine's guard, so the purge and the stamp-checked writes
+    serialize against each other.  *metric* names the
+    ``result=hit|miss`` counter lookups increment, if any.
+    """
+
+    def __init__(self, schema: RelationSchema, lock, version: int,
+                 metric: str = None):
+        self.table: dict = {}
+        self.index = FootprintIndex(schema)
+        self.stats = MemoStats()
+        self.version = version
+        self._blind: set = set()  # keys stored without a footprint
+        self._lock = lock
+        self._metric = metric
+
+    def lookup(self, key, compute) -> tuple:
+        """``(value, hit)``.  On a miss ``compute()`` returns ``(value,
+        footprints)`` (``None`` = not recorded) and the value is stored
+        under the stamp read before the compute."""
+        stamp = self.version
+        value = self.table.get(key)
+        hit = value is not None
+        with self._lock:
+            if hit:
+                self.stats.hits += 1
+            else:
+                self.stats.misses += 1
+        if self._metric is not None:
+            obs.inc(self._metric, result="hit" if hit else "miss")
+        if hit:
+            return value, True
+        value, footprints = compute()
+        with self._lock:
+            if self.version == stamp:
+                self.table[key] = value
+                if footprints is None:
+                    self._blind.add(key)
+                else:
+                    self._blind.discard(key)
+                    self.index.add(key, footprints)
+        return value, False
+
+    def purge(self, rows, version: int) -> None:
+        """Reconcile to *version*; caller holds the lock."""
+        if rows is None:
+            self.table.clear()
+            self.index.clear()
+        else:
+            for key in self.index.affected(rows) | self._blind:
+                self.table.pop(key, None)
+                self.index.discard(key)
+        self._blind.clear()
+        self.version = version
 
 
 def row_supports_pattern(rule, row: Row) -> bool:
@@ -260,27 +362,30 @@ def row_supports_pattern(rule, row: Row) -> bool:
     return all(condition.matches(row[column]) for column, condition in checks)
 
 
-def patch_pattern_cache(cache: dict, rules: Sequence, deltas, rows) -> None:
-    """Update a ``{rule.name: holds}`` pattern cache for a delta batch.
+def patch_pattern_cache(cache: dict, rules: Sequence, deltas, schema) -> None:
+    """Update an ``{id(rule): holds}`` pattern cache for a delta batch.
 
     Mirrors what a fresh :func:`row_supports_pattern` sweep would answer:
     an inserted witness flips a cached False to True; deleting a witness
     of a cached True drops the entry (the remaining rows may or may not
     still contain one — recompute lazily); every other combination leaves
-    the cached verdict exact.
+    the cached verdict exact.  Keyed by rule identity: two rules may
+    share a name (the default one) yet differ in pattern or guard.
     """
+    if not cache:
+        return
+    rows = [Row(schema, delta.values) for delta in deltas]
     for rule in rules:
-        if rule.name not in cache:
-            continue
+        slot = id(rule)
         for delta, row in zip(deltas, rows):
-            cached = cache.get(rule.name)
+            cached = cache.get(slot)
             if cached is None:
-                break  # dropped below; recomputed lazily on next use
+                break  # never cached, or dropped below: computed lazily
             if delta.op == "insert":
                 if not cached and row_supports_pattern(rule, row):
-                    cache[rule.name] = True
+                    cache[slot] = True
             elif cached and row_supports_pattern(rule, row):
-                del cache[rule.name]
+                del cache[slot]
 
 
 class _SnapshotActives:
@@ -365,8 +470,7 @@ class RegionGuard:
         )
         # Reverse probe index: footprint -> the (seed, check) entries
         # whose verdict depended on it.
-        self._positions: dict = {}     # attrs -> value positions
-        self._probe_owners: dict = {}  # attrs -> {key: set((ri, ci))}
+        self._checks = FootprintIndex(self._master_schema)
         scoped: set = set()
         if usable:
             for ri, rec in enumerate(self._records):
@@ -377,7 +481,7 @@ class RegionGuard:
                         usable = False
                         break
                     scoped.update(entry[2])
-                    self._index_check(ri, ci, entry[2])
+                    self._checks.add((ri, ci), entry[2])
                 if not usable:
                     break
         # Safety net: a probe performed outside any check scope has no
@@ -405,25 +509,6 @@ class RegionGuard:
                     if column not in self._active:
                         self._active[column] = set(store.active_values(column))
 
-    def _index_check(self, ri: int, ci: int, sink: Iterable) -> None:
-        for attrs, key in sink:
-            if attrs not in self._positions:
-                self._positions[attrs] = [
-                    self._master_schema.index_of(a) for a in attrs
-                ]
-            self._probe_owners.setdefault(attrs, {}).setdefault(
-                key, set()
-            ).add((ri, ci))
-
-    def _unindex_check(self, ri: int, ci: int, sink: Iterable) -> None:
-        for attrs, key in sink:
-            keyed = self._probe_owners.get(attrs)
-            owners = keyed.get(key) if keyed is not None else None
-            if owners is not None:
-                owners.discard((ri, ci))
-                if not owners:
-                    del keyed[key]
-
     # -- the absorb decision -------------------------------------------------
 
     def absorb(self, deltas, store: MasterStore) -> bool:
@@ -445,13 +530,8 @@ class RegionGuard:
         inserted = {delta.values for delta in deltas}
         for delta in deltas:
             row = Row(self._master_schema, delta.values)
-            for attrs, keyed in self._probe_owners.items():
-                positions = self._positions[attrs]
-                key = tuple(delta.values[p] for p in positions)
-                owners = keyed.get(key)
-                if owners and not self._benign_insert(
-                    attrs, key, row, inserted, store
-                ):
+            for attrs, key, owners in self._checks.hits(delta.values):
+                if not self._benign_insert(attrs, key, row, inserted, store):
                     hit.update(owners)
             for column, active in self._active.items():
                 value = delta.values[self._master_schema.index_of(column)]
@@ -518,7 +598,7 @@ class RegionGuard:
         for ri, ci in sorted(hit):
             rec = self._records[ri]
             entry = rec["checks"][ci]
-            pattern, old_verdict, old_sink = entry
+            pattern, old_verdict, _sink = entry
             sink: set = set()
             recording.push_sink(sink)
             try:
@@ -542,9 +622,8 @@ class RegionGuard:
                 else "vacuous" if check.instantiations == 0
                 else "failed"
             )
-            self._unindex_check(ri, ci, old_sink)
             entry[2] = frozenset(sink)
-            self._index_check(ri, ci, entry[2])
+            self._checks.add((ri, ci), entry[2])
         return True
 
     def _absorb_novel_values(
@@ -670,5 +749,5 @@ class RegionGuard:
         finally:
             recording.pop_sink()
         entry[2] = frozenset(entry[2] | sink)
-        self._index_check(ri, ci, sink)
+        self._checks.add((ri, ci), entry[2])
         return True

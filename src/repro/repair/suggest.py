@@ -62,6 +62,11 @@ def surviving_rules(
     Enough for value-free reasoning: :func:`attribute_closure` reads only
     ``rhs`` and ``premise_attrs``, and the refinement adds only ``lhs``
     attributes to the pattern, so it leaves ``premise_attrs`` unchanged.
+
+    *pattern_cache* maps ``id(rule)`` to the pattern-only verdict of
+    condition (c).  It is keyed by identity, not name (two rules can
+    share a name yet differ in pattern or guard), so a cache must only
+    ever see the same rule objects — an engine's own Σ.
     """
     master = as_master_store(master)
     out = []
@@ -104,13 +109,15 @@ def surviving_rules(
                     break
             if not found:
                 continue
-        else:  # (c), pattern-only probe (cacheable per rule)
-            if pattern_cache is not None and rule.name in pattern_cache:
-                holds = pattern_cache[rule.name]
-            else:
+        else:  # (c), pattern-only probe (cacheable per rule object)
+            holds = (
+                pattern_cache.get(id(rule))
+                if pattern_cache is not None else None
+            )
+            if holds is None:
                 holds = any(row_supports_pattern(rule, tm) for tm in master)
                 if pattern_cache is not None:
-                    pattern_cache[rule.name] = holds
+                    pattern_cache[id(rule)] = holds
             if not holds:
                 continue
         out.append((rule, key_attrs))

@@ -1,4 +1,4 @@
-"""The exact certification passes (E205/W206/I208), fix-its, and caching."""
+"""The exact certification passes (E205/W206/I208) and fix-its."""
 
 import ast
 import json
@@ -19,10 +19,7 @@ from repro.lint import (
     preflight,
     run_lint,
 )
-from repro.lint.certify import (
-    certification_cache_info,
-    certification_for,
-)
+from repro.lint.certify import certification_for
 from repro.lint.registry import LintContext
 
 
@@ -185,14 +182,18 @@ def test_cert_codes_identical_across_backends(dataset, request):
         remote.close()
 
 
-# -- certification caching over the delta journal -----------------------------
+# -- lint after a master mutation ----------------------------------------------
 
 
-def test_delta_keeps_certification_when_footprints_missed():
-    # Two-column probes, region pinned to k1=1: only the (1, *) key pairs
-    # are ever probed.  Inserting an unprobed key combination whose values
-    # are all already active keeps the whole certification (and its E205
-    # finding) across the version move.
+@pytest.mark.parametrize("inserted", [
+    (8, 9, 10, 20),  # an unprobed key pair, no novel value
+    (1, 9, 30, 40),  # hits the probed (1, 9) key
+    (8, 9, 10, 99),  # w=99 is novel to a domain-feeding column
+], ids=["unprobed-key", "probed-key", "novel-value"])
+def test_lint_after_insert_equals_lint_of_fresh_store(inserted):
+    # Two-column probes, region pinned to k1=1 (so E205 fires): a lint of
+    # a store that was linted, then mutated, must report exactly what a
+    # lint of a fresh store holding the same rows reports.
     schema = RelationSchema("r", ["k1", "k2", "v", "w"])
     store = InMemoryStore(
         _master([(1, 9, 10, 20), (8, 2, 30, 40)], schema)
@@ -205,65 +206,13 @@ def test_delta_keeps_certification_when_footprints_missed():
         ("k1", "k2"),
         [PatternTuple({"k1": Const(1), "k2": ANY})],
     ))
-    first = run_lint(rules, schema, store, region=region)
-    assert "E205" in first.codes()
-    before = certification_cache_info(store)
-    store.insert([8, 9, 10, 20])  # new key pair, no novel values
-    second = run_lint(rules, schema, store, region=region)
-    after = certification_cache_info(store)
-    assert after["delta_kept"] == before["delta_kept"] + 1
-    assert after["delta_kept_findings"] > before["delta_kept_findings"]
-    # The retained findings are the same objects, not recomputations.
-    firsts = [d for d in first if d.code == "E205"]
-    seconds = [d for d in second if d.code == "E205"]
-    assert all(a is b for a, b in zip(firsts, seconds))
-
-
-def test_delta_with_footprint_hit_recomputes():
-    schema = RelationSchema("r", ["k1", "k2", "v", "w"])
-    store = InMemoryStore(
-        _master([(1, 9, 10, 20), (8, 2, 30, 40)], schema)
-    )
-    rules = [
-        _rule(("k1", "k2"), "v", name="r1"),
-        _rule(("k1", "k2"), "v", rhs_m="w", name="r2"),
-    ]
-    region = Region(("k1", "k2"), PatternTableau(
-        ("k1", "k2"),
-        [PatternTuple({"k1": Const(1), "k2": ANY})],
-    ))
-    run_lint(rules, schema, store, region=region)
-    before = certification_cache_info(store)
-    store.insert([1, 9, 30, 40])  # hits the probed (1, 9) key
-    run_lint(rules, schema, store, region=region)
-    after = certification_cache_info(store)
-    assert after["recomputes"] == before["recomputes"] + 1
-    assert after["delta_kept"] == before["delta_kept"]
-
-
-def test_novel_value_in_domain_column_recomputes():
-    # The inserted key pair is unprobed, but a domain-feeding column gains
-    # a value absent from the certification's active-domain snapshot: the
-    # exact verdict may no longer hold, so the entry is recomputed.
-    schema = RelationSchema("r", ["k1", "k2", "v", "w"])
-    store = InMemoryStore(
-        _master([(1, 9, 10, 20), (8, 2, 30, 40)], schema)
-    )
-    rules = [
-        _rule(("k1", "k2"), "v", name="r1"),
-        _rule(("k1", "k2"), "v", rhs_m="w", name="r2"),
-    ]
-    region = Region(("k1", "k2"), PatternTableau(
-        ("k1", "k2"),
-        [PatternTuple({"k1": Const(1), "k2": ANY})],
-    ))
-    run_lint(rules, schema, store, region=region)
-    before = certification_cache_info(store)
-    store.insert([8, 9, 10, 99])  # w=99 is novel
-    run_lint(rules, schema, store, region=region)
-    after = certification_cache_info(store)
-    assert after["recomputes"] == before["recomputes"] + 1
-    assert after["delta_kept"] == before["delta_kept"]
+    assert "E205" in run_lint(rules, schema, store, region=region).codes()
+    store.insert(list(inserted))
+    fresh = InMemoryStore(Relation(schema, list(store)))
+    key = lambda report: [d.to_dict() for d in report]
+    after = run_lint(rules, schema, store, region=region)
+    assert key(after) == key(run_lint(rules, schema, fresh, region=region))
+    assert after.master_version == store.version
 
 
 # -- active-domain hoisting (satellite: saved work is counted) ----------------

@@ -1,4 +1,4 @@
-"""The repro.lint static analyzer: passes, reports, preflight, caching."""
+"""The repro.lint static analyzer: passes, reports, preflight."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.core.regions import Region
 from repro.core.rules import EditingRule
 from repro.engine.relation import Relation
 from repro.engine.schema import RelationSchema, finite_domain
-from repro.engine.store import InMemoryStore
 from repro.engine.values import NULL
 from repro.lint import (
     Diagnostic,
@@ -19,12 +18,10 @@ from repro.lint import (
     Severity,
     preflight,
     registered_passes,
-    rules_fingerprint,
     run_lint,
     sarif_rule_metadata,
     structural_report,
 )
-from repro.lint.runner import _MASTER_CACHE
 
 
 SCHEMA = RelationSchema("r", ["a", "b", "c", "d"])
@@ -410,43 +407,6 @@ def test_golden_dblp_lint(dblp):
     (info,) = report.infos
     assert info.data["attrs"] == ["a1", "a2", "pages", "ptitle", "type"]
     assert not report.fails("error")
-
-
-# -- caching and fingerprints -------------------------------------------------
-
-
-def test_master_results_cached_until_version_moves():
-    # A NULL master value keeps a W204 finding alive through the certify
-    # era (hosp/dblp now lint clean, so they no longer exercise sharing).
-    schema = RelationSchema("r", ["k", "v", "w"])
-    relation = _master([(1, NULL, "x"), (2, 5, "y")], schema)
-    store = InMemoryStore(relation)
-    rules = [_rule("k", "v", name="reader")]
-    _MASTER_CACHE.pop(store, None)
-    first = run_lint(rules, schema, store)
-    assert len(_MASTER_CACHE[store]) == 1
-    second = run_lint(rules, schema, store)
-    assert len(_MASTER_CACHE[store]) == 1  # same key: cache hit
-    # Cached Diagnostic objects are shared, not recomputed.
-    first_masters = [d for d in first if d.code == "W204"]
-    second_masters = [d for d in second if d.code == "W204"]
-    assert first_masters
-    assert all(a is b for a, b in zip(first_masters, second_masters))
-    store.insert(relation.first())
-    third = run_lint(rules, schema, store)
-    assert len(_MASTER_CACHE[store]) == 2  # version moved: new entry
-    assert third.master_version == store.version
-
-
-def test_fingerprint_sensitive_to_rules_and_names():
-    base = [_rule("a", "b", name="x")]
-    assert rules_fingerprint(base) == rules_fingerprint(
-        [_rule("a", "b", name="x")]
-    )
-    assert rules_fingerprint(base) != rules_fingerprint(
-        [_rule("a", "b", name="y")]
-    )
-    assert rules_fingerprint(base) != rules_fingerprint([_rule("a", "c")])
 
 
 # -- preflight gates ----------------------------------------------------------

@@ -262,6 +262,29 @@ def test_lint_fix_applies_and_is_idempotent(tmp_path, capsys, hosp_files):
     assert rules_json.read_text() == before
 
 
+def test_lint_fix_on_clean_rules_lints_once(capsys, hosp_files, monkeypatch):
+    # A converged --fix loop reports its last round's lint instead of
+    # linting the unchanged rules a second time.
+    import repro.lint as lint
+
+    rules_json, master_csv = hosp_files
+    real_run_lint = lint.run_lint
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_run_lint(*args, **kwargs)
+
+    monkeypatch.setattr(lint, "run_lint", counted)
+    assert main([
+        "lint", "--rules", rules_json, "--master", master_csv, "--fix",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "fix: no applyable fix-its" in out
+    assert "0 error(s), 0 warning(s), 1 info(s)" in out
+    assert len(calls) == 1
+
+
 def test_batch_repair_certify_preflight_passes_clean_rules(
         tmp_path, capsys, hosp, hosp_files):
     from repro.engine.relation import Relation

@@ -65,14 +65,14 @@ def _warm_then_conflict(store, schema, rules, mutate):
     assert result.sessions[0].final == clean
     row = Row(schema, ("k1", "v1"))
     validated = frozenset({"key"})
-    assert engine._memo_key(row, validated) in engine._chase_memo
+    assert engine._memo_key(row, validated) in engine._chase_memo.table
     assert store.image(("key",), ("k1",), "val", rules[0].master_guard) == (
         ("v1", clean),
     )
     mutate()
     assert engine.resync_master()
     assert engine.delta_purges == 1
-    assert engine._memo_key(row, validated) not in engine._chase_memo
+    assert engine._memo_key(row, validated) not in engine._chase_memo.table
     unique = engine._unique(row, validated)
     return engine, unique, chase(row, validated, rules, store)
 
@@ -270,6 +270,49 @@ def test_thread_fanout_with_mid_batch_mutations_matches_sequential(
         assert session.final == dt.clean
     assert threaded.report.image_cache["purged"] > 0
     assert threaded.report.full_drops == 0
+
+
+def test_memo_counters_exact_under_thread_fanout_with_mutations(
+    hosp, hosp_dirty
+):
+    """Four threads (more than this suite assumes cores) share the memos
+    while every third tuple writes the master, with a short switch
+    interval: every fix must still be the clean row, and the memo totals
+    must equal the per-thread rows — a lost counter update or a lost
+    reconcile would break one or the other."""
+    donors = list(hosp.master.iter_rows())[:8]
+    store = InMemoryStore(Relation(hosp.schema, hosp.master.iter_rows()))
+    batch = BatchRepairEngine(
+        hosp.rules, store, hosp.schema, use_bdd=False,
+        concurrency=4, chunk_size=4,
+    )
+    stream = list(hosp_dirty) * 2
+    pairs = [
+        (
+            dt.dirty,
+            _MutatingUser(dt.clean, store, donors[i % len(donors)])
+            if i % 3 == 0 else SimulatedUser(dt.clean),
+        )
+        for i, dt in enumerate(stream)
+    ]
+    writes = (len(stream) + 2) // 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        result = batch.run(pairs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(store) == len(hosp.master) + writes
+    for session, dt in zip(result.sessions, stream):
+        assert session.completed and session.final == dt.clean
+    report = result.report
+    assert 1 <= report.cache_invalidations <= writes
+    rows = report.worker_stats.values()
+    for name in ("chase", "transfix"):
+        memo = getattr(report, f"{name}_memo")
+        assert memo.lookups > 0
+        assert sum(r[f"{name}_hits"] for r in rows) == memo.hits
+        assert sum(r[f"{name}_misses"] for r in rows) == memo.misses
 
 
 # -- TransFix reads the image -------------------------------------------------

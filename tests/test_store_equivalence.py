@@ -8,17 +8,23 @@ fixes reflect the new master.
 """
 
 import random
+import threading
 
 import pytest
 
+from repro.core.patterns import Const, PatternTuple
 from repro.core.rules import EditingRule
 from repro.engine.relation import Relation
 from repro.engine.schema import RelationSchema
 from repro.engine.store import InMemoryStore, SqliteStore
 from repro.engine.tuples import Row
+from repro.repair import certainfix
 from repro.repair.batch import BatchRepairEngine
 from repro.repair.certainfix import CertainFix
+from repro.repair.invalidation import _Memo
 from repro.repair.oracle import SimulatedUser
+from repro.repair.region_search import comp_c_region
+from repro.repair.suggest import surviving_rules
 
 
 def _pairs(data):
@@ -503,7 +509,90 @@ def test_stale_memo_write_rejected_after_concurrent_teardown(monkeypatch):
     row = Row(schema, ("k1", "v1"))
     validated = frozenset({"key", "val"})
     engine._unique(row, validated)
-    assert engine._memo_key(row, validated) not in engine._chase_memo
+    assert engine._memo_key(row, validated) not in engine._chase_memo.table
+
+
+def test_region_build_racing_a_master_delete_is_not_kept(monkeypatch):
+    """A region build that straddles a reconcile describes a master that
+    no longer exists: the stamp check must discard it and rebuild, not
+    keep a tableau for the deleted key forever."""
+    schema, rules, rows = _tiny_bundle()
+    store = InMemoryStore(Relation(schema, rows + [Row(schema, ("k3", "v3"))]))
+    engine = CertainFix(rules, store, schema)
+    real_build = certainfix.comp_c_region
+    raced = []
+
+    def racing_build(*args, **kwargs):
+        regions = real_build(*args, **kwargs)
+        if not raced:  # mutate once, after the build read the old master
+            raced.append(True)
+            assert store.delete(Row(schema, ("k2", "v2")))
+            engine._sync_master_version()
+        return regions
+
+    monkeypatch.setattr(certainfix, "comp_c_region", racing_build)
+    built = engine.regions
+    monkeypatch.undo()
+    fresh = comp_c_region(rules, store, schema)
+    assert built == fresh
+    assert engine.regions == fresh
+
+
+def test_pattern_cache_keeps_same_named_rules_apart():
+    """Unnamed rules differing only in pattern share the default name;
+    the engine's shared pattern cache must give each its own verdict,
+    before and after the reconcile patches it for a master insert."""
+    schema = RelationSchema("T", ["k", "v"])
+    store = InMemoryStore(Relation(schema, [Row(schema, ("a", "x"))]))
+    ra = EditingRule(("k",), ("k",), "v", "v", PatternTuple({"k": Const("a")}))
+    rb = EditingRule(("k",), ("k",), "v", "v", PatternTuple({"k": Const("b")}))
+    assert ra.name == rb.name
+    rules = [ra, rb]
+    engine = CertainFix(rules, store, schema, use_bdd=True)
+    cache = engine._pattern_cache
+    row = Row(schema, ("a", "y"))
+    uncached = surviving_rules(rules, store, row, frozenset())
+    assert [rule for rule, _ in uncached] == [ra]
+    assert surviving_rules(rules, store, row, frozenset(), cache) == uncached
+    assert surviving_rules(rules, store, row, frozenset(), cache) == uncached
+    store.insert(Row(schema, ("b", "z")))
+    assert engine.resync_master() and engine.delta_purges == 1
+    uncached = surviving_rules(rules, store, row, frozenset())
+    assert [rule for rule, _ in uncached] == [ra, rb]
+    assert surviving_rules(rules, store, row, frozenset(), cache) == uncached
+
+
+def test_memo_write_and_purge_rule():
+    """The one write rule every engine memo follows: a value lands only
+    under the stamp read before its compute; a delta batch purges the
+    footprint hits and every entry stored without a footprint; a journal
+    gap (``None``) drops everything."""
+    schema = RelationSchema("T", ["key", "val"])
+    memo = _Memo(schema, threading.RLock(), version=0)
+    hit_row, other_row = ("k1", "x"), ("k9", "y")
+
+    def fill(key, footprints):
+        return memo.lookup(key, lambda: (f"value-{key}", footprints))
+
+    assert fill("probed", {(("key",), ("k1",))}) == ("value-probed", False)
+    assert fill("probed", None) == ("value-probed", True)
+    fill("elsewhere", {(("key",), ("k2",))})
+    fill("blind", None)
+    memo.purge([other_row], version=1)
+    assert set(memo.table) == {"probed", "elsewhere"}
+    fill("blind", None)
+    memo.purge([hit_row], version=2)
+    assert set(memo.table) == {"elsewhere"}
+
+    def racing():
+        memo.purge([other_row], version=3)  # a reconcile mid-compute
+        return "stale", set()
+
+    assert memo.lookup("raced", racing) == ("stale", False)
+    assert "raced" not in memo.table
+    memo.purge(None, version=4)
+    assert memo.table == {}
+    assert (memo.stats.hits, memo.stats.misses) == (1, 5)
 
 
 def test_suggest_memo_invalidated_by_master_mutation():
